@@ -253,7 +253,8 @@ let e3_communication () =
         Lightweb.Universe.default_geometry.Lightweb.Universe.data_blob_size up down
   | Error e -> Printf.printf "wire measurement failed: %s\n" e);
   Printf.printf
-    "\nnote: our real BGI16 keys are (16 B seed + 1 B ctrl)/level; the paper's \"(λ+2)d\"\n\
+    "\nnote: our real BGI16 keys are (16 B seed + 1 B ctrl)/level over d-7 levels plus a\n\
+     16 B leaf word (early termination); the paper's \"(λ+2)d\"\n\
      arithmetic only reproduces its 5.6 KiB upload if read in bytes — the cost model\n\
      uses the paper formula for Table 2 fidelity and the real size for this repo.\n"
 

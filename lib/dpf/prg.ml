@@ -54,6 +54,25 @@ let expand_into t ~src ~src_pos ~dst ~dst_pos =
   let tr = take_bit dst (dst_pos + 16) in
   tl lor (tr lsl 1)
 
+(* The selection-bit leaf Convert: one more PRG call per leaf seed, on a
+   domain separated from both children (AES-MMO tweak 3, or the ChaCha
+   convert nonce), so the 128 leaf bits are independent of the seeds and
+   control bits the tree already derived from the same seed. *)
+let convert_block t ~src ~src_pos ~dst ~dst_pos =
+  match t with
+  | Aes_mmo ->
+      Lw_crypto.Aes128.mmo_hash_into Lw_crypto.Aes128.mmo_fixed_key ~tweak:3 ~src ~src_pos ~dst
+        ~dst_pos
+  | Chacha rounds ->
+      let key = Bytes.create 32 in
+      Bytes.blit src src_pos key 0 16;
+      Bytes.blit src src_pos key 16 16;
+      let block = Bytes.create Lw_crypto.Chacha20.block_len in
+      Lw_crypto.Chacha20.block ~rounds
+        ~key:(Bytes.unsafe_to_string key)
+        ~nonce:convert_nonce ~counter:0l block;
+      Bytes.blit block 0 dst dst_pos 16
+
 let convert t ~seed ~pos ~len =
   let rounds = match t with Aes_mmo -> 20 | Chacha r -> r in
   let key = Bytes.create 32 in

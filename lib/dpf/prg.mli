@@ -30,6 +30,13 @@ val expand_into :
     and returns the control bits packed as [tl lor (tr lsl 1)]. The [src]
     and [dst] regions must not overlap. *)
 
+val convert_block : t -> src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> unit
+(** [convert_block prg ~src ~src_pos ~dst ~dst_pos] maps the 16-byte leaf
+    seed at [src_pos] to 16 pseudorandom bytes at [dst_pos]: the 128
+    selection bits of an early-terminated DPF leaf (BGI16's Convert into
+    [{0,1}^128]). Domain-separated from {!expand_into} and {!convert}.
+    The [src] and [dst] regions must not overlap. *)
+
 val convert : t -> seed:Bytes.t -> pos:int -> len:int -> string
 (** [convert prg ~seed ~pos ~len] expands the 16-byte seed at [pos] into a
     [len]-byte leaf value share (BGI16's Convert for value-carrying

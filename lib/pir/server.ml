@@ -157,6 +157,24 @@ let answer_pair t k0 k1 =
   Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
   (Bytes.unsafe_to_string acc0, Bytes.unsafe_to_string acc1)
 
+(* OR one key's selection bytes (0/1 each) into lane [bit] of the packed
+   bytes at [dst_pos]. A 0/1 byte shifted left by < 8 never crosses into
+   its neighbour, so whole 64-bit words are packed at once. *)
+let pack_lane ~bits ~count ~bit ~dst ~dst_pos =
+  let words = count lsr 3 in
+  for w = 0 to words - 1 do
+    let i = 8 * w in
+    Bytes.set_int64_le dst (dst_pos + i)
+      (Int64.logor
+         (Bytes.get_int64_le dst (dst_pos + i))
+         (Int64.shift_left (Bytes.get_int64_le bits i) bit))
+  done;
+  for i = 8 * words to count - 1 do
+    let cur = Char.code (Bytes.unsafe_get dst (dst_pos + i)) in
+    Bytes.unsafe_set dst (dst_pos + i)
+      (Char.unsafe_chr (cur lor ((Char.code (Bytes.unsafe_get bits i) land 1) lsl bit)))
+  done
+
 (* Bit-packed batching: up to 8 queries' selection bits share one byte
    per bucket, and the scan streams each database block once per pack,
    feeding all of the pack's accumulators from the same resident bytes.
@@ -177,12 +195,12 @@ let answer_batch t keys =
     let n_packs = (n + 7) / 8 in
     (* pack p's byte for bucket i carries query [8p+q]'s bit at bit q *)
     let packed = Array.init n_packs (fun _ -> Bytes.make size '\x00') in
+    let block_bits = block_bits_for t in
     Array.iteri
       (fun q k ->
-        let p = packed.(q lsr 3) and bit = q land 7 in
-        Lw_dpf.Dpf.eval_all_bits k (fun i b ->
-            let cur = Char.code (Bytes.unsafe_get p i) in
-            Bytes.unsafe_set p i (Char.unsafe_chr (cur lor ((b land 1) lsl bit)))))
+        let dst = packed.(q lsr 3) and bit = q land 7 in
+        Lw_dpf.Dpf.eval_bits_blocked k ~block_bits (fun base bits count ->
+            pack_lane ~bits ~count ~bit ~dst ~dst_pos:base))
       keys;
     let accs = Array.init n (fun _ -> Bytes.make bucket '\x00') in
     let lanes = Array.init n_packs (fun p -> Array.sub accs (8 * p) (min 8 (n - (8 * p)))) in
@@ -332,9 +350,9 @@ let scan_partition_packed t ~subs ~lane_accs ~prefix ~rem ~bits =
     let lane_lo = 8 * p in
     let lanes = min 8 (n - lane_lo) in
     for q = 0 to lanes - 1 do
-      Lw_dpf.Dpf.eval_all_bits subs.(lane_lo + q) (fun j b ->
-          let cur = Char.code (Bytes.unsafe_get bits j) in
-          Bytes.unsafe_set bits j (Char.unsafe_chr (cur lor ((b land 1) lsl q))))
+      Lw_dpf.Dpf.eval_bits_blocked subs.(lane_lo + q)
+        ~block_bits:(min rem (block_bits_for t))
+        (fun b buf count -> pack_lane ~bits:buf ~count ~bit:q ~dst:bits ~dst_pos:b)
     done;
     let dsts = lane_accs.(p) in
     for j = 0 to part - 1 do

@@ -262,7 +262,48 @@ let prop_xor_associative =
         (Lw_util.Xorbuf.xor (Lw_util.Xorbuf.xor a b) c)
         (Lw_util.Xorbuf.xor a (Lw_util.Xorbuf.xor b c)))
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_rng_int_uniformish; prop_xor_associative ]
+(* The byte-at-a-time boxed-Int32 CRC-32 that slicing-by-8 replaced,
+   kept as the oracle for the fast path. *)
+let crc32_bytewise crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun i ->
+        let c = ref (Int32.of_int i) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let crc = ref (Int32.lognot crc) in
+  for i = pos to pos + len - 1 do
+    let idx =
+      Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code s.[i]))) 0xffl)
+    in
+    crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8)
+  done;
+  Int32.lognot !crc
+
+let test_crc32_vectors () =
+  Alcotest.(check int32) "check value" 0xCBF43926l (Lw_util.Crc32.digest "123456789");
+  Alcotest.(check int32) "empty" 0l (Lw_util.Crc32.digest "");
+  Alcotest.check_raises "range" (Invalid_argument "Crc32.update") (fun () ->
+      ignore (Lw_util.Crc32.update 0l "abc" ~pos:2 ~len:2))
+
+let prop_crc32_matches_bytewise =
+  QCheck.Test.make ~name:"crc32 slicing-by-8 = byte-at-a-time" ~count:300
+    QCheck.(quad (string_of_size Gen.(0 -- 200)) small_nat small_nat int32)
+    (fun (s, a, b, init) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Int32.equal
+        (Lw_util.Crc32.update init s ~pos ~len)
+        (crc32_bytewise init s ~pos ~len)
+      && Int32.equal (Lw_util.Crc32.digest s) (crc32_bytewise 0l s ~pos:0 ~len:n))
+
+let props = List.map QCheck_alcotest.to_alcotest [ prop_rng_int_uniformish; prop_xor_associative; prop_crc32_matches_bytewise ]
 
 let () =
   Alcotest.run "lw_util"
@@ -283,6 +324,7 @@ let () =
           Alcotest.test_case "packed lanes" `Quick test_xor_into_packed;
         ] );
       ("bitops", [ Alcotest.test_case "all" `Quick test_bitops ]);
+      ("crc32", [ Alcotest.test_case "vectors" `Quick test_crc32_vectors ]);
       ( "det_rng",
         [
           Alcotest.test_case "determinism" `Quick test_det_rng_determinism;
