@@ -3,7 +3,7 @@
    through the two qualification styles the repo uses — same-file bare
    names ([scan t bits] inside server.ml) and dotted paths whose last
    two segments name the defining module ([Lw_store.Snapshot.pin] or
-   [Bucket_db.xor_bucket_into_masked]). Ambiguous keys resolve to
+   [Snapshot.xor_block_into_masked]). Ambiguous keys resolve to
    nothing: the taint analysis treats unknown callees conservatively,
    so a collision costs precision, never soundness of the report. *)
 
@@ -12,6 +12,7 @@ type def = {
   d_file : string;
   d_line : int;
   d_params : string list list;  (* one entry per parameter; tuple params bind several vars *)
+  d_labels : string option list;  (* per parameter: [Some l] for [~l]/[?l], [None] if unlabelled *)
   d_body : Parsetree.expression;  (* innermost body after the fun chain *)
 }
 
@@ -23,6 +24,41 @@ type t = {
 
 let module_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* The labels of a fun chain, walked exactly like [Syntax.uncurry] so the
+   list lines up with [d_params]. *)
+let rec param_labels (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_fun (lbl, _, _, body) ->
+      (match lbl with Asttypes.Nolabel -> None | Labelled l | Optional l -> Some l)
+      :: param_labels body
+  | Pexp_newtype (_, body) -> param_labels body
+  | Pexp_constraint (e, _) -> param_labels e
+  | _ -> []
+
+(* Parameter index each call-site argument binds: a labelled argument
+   binds the parameter of its label, unlabelled ones fill the unlabelled
+   parameters in order. An argument past the last parameter
+   (over-application) or with an unknown label gets an index out of the
+   parameter range. *)
+let arg_positions labels args =
+  let n = List.length labels in
+  let indexed = List.mapi (fun i l -> (i, l)) labels in
+  let rec go pos free = function
+    | [] -> []
+    | ((lbl : Asttypes.arg_label), _) :: rest ->
+        let i, free =
+          match (lbl, free) with
+          | (Labelled l | Optional l), _ -> (
+              match List.find_opt (fun (_, l') -> l' = Some l) indexed with
+              | Some (i, _) -> (i, free)
+              | None -> (n + pos, free))
+          | Nolabel, i :: free' -> (i, free')
+          | Nolabel, [] -> (n + pos, [])
+        in
+        i :: go (pos + 1) free rest
+  in
+  go 0 (List.filter_map (fun (i, l) -> if l = None then Some i else None) indexed) args
 
 let register tbl key def =
   match Hashtbl.find_opt tbl key with
@@ -44,6 +80,7 @@ let build (files : (string * Parsetree.structure) list) =
               d_file = path;
               d_line = Syntax.line vb.pvb_loc;
               d_params = params;
+              d_labels = param_labels vb.pvb_expr;
               d_body = body;
             }
           in

@@ -36,6 +36,7 @@ type summary = {
 
 type local_fn = {
   l_params : string list list;
+  l_labels : string option list;  (* per parameter, as [Call_graph.def.d_labels] *)
   l_ret : int;  (* 0-based param mask flowing to the result *)
   l_sink : int;
   l_kinds : (int * sink) list;
@@ -329,8 +330,15 @@ and eval_fn ctx env e =
   let params, body = Syntax.uncurry e in
   if params = [] then
     (* constraint/newtype chain with no actual fun: treat as value *)
-    { l_params = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = eval ctx env body }
-  else summarize_fn ctx env params body
+    {
+      l_params = [];
+      l_labels = [];
+      l_ret = 0;
+      l_sink = 0;
+      l_kinds = [];
+      l_cap = eval ctx env body;
+    }
+  else { (summarize_fn ctx env params body) with l_labels = Call_graph.param_labels e }
 
 and eval_function ctx env cases =
   (* one implicit parameter, matched immediately *)
@@ -355,7 +363,8 @@ and summarize_body ctx env params ~n_cases run =
   let l_cap = with_binds env zero_binds (fun () -> run ctx env 0) in
   (* pass 2: per-parameter bits, recording summaries only *)
   let depth = ctx.depth + 1 in
-  if depth > 3 then { l_params = params; l_ret = 0; l_sink = 0; l_kinds = []; l_cap }
+  if depth > 3 then
+    { l_params = params; l_labels = []; l_ret = 0; l_sink = 0; l_kinds = []; l_cap }
   else begin
     let base = 16 * depth in
     let sink_bits = ref 0 and kinds = ref [] in
@@ -390,6 +399,7 @@ and summarize_body ctx env params ~n_cases run =
     in
     {
       l_params = params;
+      l_labels = [];
       l_ret = (ret lsr base) land param_mask;
       l_sink = sinks;
       l_kinds = !kinds;
@@ -409,7 +419,15 @@ and eval_let ctx env rf vbs body =
             let lf =
               if rf = Asttypes.Recursive then begin
                 let provisional =
-                  Fn { l_params = params; l_ret = 0; l_sink = 0; l_kinds = []; l_cap = 0 }
+                  Fn
+                    {
+                      l_params = params;
+                      l_labels = [];
+                      l_ret = 0;
+                      l_sink = 0;
+                      l_kinds = [];
+                      l_cap = 0;
+                    }
                 in
                 let saved = bind env x provisional in
                 let lf1 = eval_fn ctx env vb.pvb_expr in
@@ -503,9 +521,10 @@ and eval_apply ctx env e f args =
             else
               (* summary-based call *)
               match resolve_callee ctx env name with
-              | Some (params_n, ret_mask, const, sink_mask, kinds, cap, label) ->
-                  List.iteri
-                    (fun i t ->
+              | Some (params_n, ret_mask, const, sink_mask, kinds, cap, label, labels) ->
+                  let bound = List.combine (Call_graph.arg_positions labels args) taints in
+                  List.iter
+                    (fun (i, t) ->
                       if i < params_n && t <> 0 && sink_mask land (1 lsl i) <> 0
                       then
                         let kind =
@@ -517,15 +536,14 @@ and eval_apply ctx env e f args =
                           (Printf.sprintf
                              "argument %d of %s, which feeds a %s inside it" i
                              label (sink_name kind)))
-                    taints;
+                    bound;
                   let ret =
                     List.fold_left
                       (fun acc (i, t) ->
                         if i < params_n && ret_mask land (1 lsl i) <> 0 then
                           acc lor t
                         else acc)
-                      0
-                      (List.mapi (fun i t -> (i, t)) taints)
+                      0 bound
                   in
                   ret lor const lor cap
               | None -> all))
@@ -562,7 +580,7 @@ and eval_hof ctx env ~line _name positions args =
           match Syntax.head_name cb with
           | Some cb_name -> (
               match resolve_callee ctx env cb_name with
-              | Some (params_n, _, _, sink_mask, kinds, _, label) ->
+              | Some (params_n, _, _, sink_mask, kinds, _, label, _) ->
                   List.iter
                     (fun p ->
                       if p < params_n && sink_mask land (1 lsl p) <> 0 then
@@ -581,10 +599,10 @@ and eval_hof ctx env ~line _name positions args =
       0
 
 (* Resolve a callee to (n_params, ret_mask, const, sink_mask, kinds,
-   captured, label): local let-bound functions first, then the global
-   table. *)
+   captured, label, param labels): local let-bound functions first, then
+   the global table. *)
 and resolve_callee ctx env name :
-    (int * int * int * int * (int * sink) list * int * string) option =
+    (int * int * int * int * (int * sink) list * int * string * string option list) option =
   let local =
     if String.contains name '.' then None
     else
@@ -597,7 +615,8 @@ and resolve_callee ctx env name :
               lf.l_sink,
               lf.l_kinds,
               lf.l_cap,
-              name )
+              name,
+              lf.l_labels )
       | _ -> None
   in
   match local with
@@ -613,7 +632,8 @@ and resolve_callee ctx env name :
               s.s_sink,
               s.s_kinds,
               0,
-              d.d_name )
+              d.d_name,
+              d.d_labels )
       | None -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -748,6 +768,7 @@ let analyze (inputs : input list) : Report.finding list =
                               (Fn
                                  {
                                    l_params = params;
+                                   l_labels = [];
                                    l_ret = 0;
                                    l_sink = 0;
                                    l_kinds = [];

@@ -71,26 +71,34 @@ let check_enclave ?(capacity = 32) ?(value_size = 64) ?(fill = 10) ?(gets = 6)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Bucket_db linear scan (PIR mode)                                    *)
+(* Snapshot linear scan (PIR mode)                                     *)
 (* ------------------------------------------------------------------ *)
+
+(* A seeded random database sealed as a one-epoch store, and a server
+   over its snapshot. Every probe below traces the store behind it. *)
+let random_store ~domain_bits ~bucket_size =
+  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
+  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
+  let st = Lw_pir.Bucket_db.to_store db in
+  (st, Lw_pir.Server.of_snapshot (Lw_store.current st))
+
+(* [f ()] with the store's access trace on; returns its result and the
+   trace. *)
+let traced st f =
+  Lw_store.set_tracing st true;
+  let r = f () in
+  let t = Lw_store.access_trace st in
+  Lw_store.set_tracing st false;
+  (r, t)
 
 (* For each secret index, generate the DPF share pair and run both
    servers' scans with tracing on. The masked scan must touch buckets
    [0..size) in order for every key and both parties. *)
 let scan_traces ~domain_bits ~bucket_size alpha =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let st, server = random_store ~domain_bits ~bucket_size in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
-  List.map
-    (fun k ->
-      Lw_pir.Bucket_db.set_tracing db true;
-      ignore (Lw_pir.Server.answer server k);
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
-      t)
-    [ k0; k1 ]
+  List.map (fun k -> snd (traced st (fun () -> Lw_pir.Server.answer server k))) [ k0; k1 ]
 
 let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 ]) () =
   if List.length alphas < 2 then err "check_bucket_scan: need at least 2 distinct keys"
@@ -128,9 +136,7 @@ let check_bucket_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 3; 47 
    pack — i.e. coverage is full and no bucket's visit count correlates
    with any query's target. *)
 let batch_scan_traces ~domain_bits ~bucket_size alphas =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let st, server = random_store ~domain_bits ~bucket_size in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let pairs = List.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits ~alpha rng) alphas in
   List.map
@@ -138,11 +144,7 @@ let batch_scan_traces ~domain_bits ~bucket_size alphas =
       let keys =
         Array.of_list (List.map (fun (k0, k1) -> if party = 0 then k0 else k1) pairs)
       in
-      Lw_pir.Bucket_db.set_tracing db true;
-      ignore (Lw_pir.Server.answer_batch server keys);
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
-      t)
+      snd (traced st (fun () -> Lw_pir.Server.answer_batch server keys)))
     [ 0; 1 ]
 
 let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
@@ -203,18 +205,15 @@ let check_batch_scan ?(domain_bits = 5) ?(bucket_size = 24)
    scheduler, so per-worker traces inherit this shape. The answer must
    also stay bit-identical to the serial scan. *)
 let partitioned_scan_traces ~domain_bits ~bucket_size ~partitions alpha =
-  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "trace-check-db");
-  let server = Lw_pir.Server.create db in
+  let st, server = random_store ~domain_bits ~bucket_size in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-dpf" in
   let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
   List.map
     (fun k ->
       let serial = Lw_pir.Server.answer server k in
-      Lw_pir.Bucket_db.set_tracing db true;
-      let share = Lw_pir.Server.answer_partitioned ~partitions server k in
-      let t = Lw_pir.Bucket_db.access_trace db in
-      Lw_pir.Bucket_db.set_tracing db false;
+      let share, t =
+        traced st (fun () -> Lw_pir.Server.answer_partitioned ~partitions server k)
+      in
       (t, String.equal share serial))
     [ k0; k1 ]
 
@@ -250,21 +249,21 @@ let check_partitioned_scan ?(domain_bits = 6) ?(bucket_size = 32)
   end
 
 (* ------------------------------------------------------------------ *)
-(* CoW snapshot scan vs. flat Bucket_db                                *)
+(* CoW snapshot scan vs. a one-block snapshot                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The epoch engine must be invisible to a trace adversary: a scan over
    a snapshot assembled from several copy-on-write epochs (some blocks
    freshly copied, some shared with older epochs) has to touch exactly
-   the same buckets in exactly the same order as a scan over a flat
-   database with the same bytes — and return the same share. Build both
-   representations of one logical database, mutating across two sealed
-   epochs so the snapshot genuinely mixes shared and copied blocks, and
-   compare traces and answers for both DPF parties. *)
+   the same buckets in exactly the same order as a scan over a snapshot
+   holding the same bytes in one block — and return the same share.
+   Build both representations of one logical database, mutating across
+   two sealed epochs so the CoW snapshot genuinely mixes shared and
+   copied blocks, and compare traces and answers for both DPF parties. *)
 let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 42 ]) () =
   let size = 1 lsl domain_bits in
   let bucket i gen = Printf.sprintf "bucket-%d-gen%d" i gen in
-  (* flat reference *)
+  (* reference contents, sealed below as a one-block snapshot *)
   let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
   for i = 0 to size - 1 do
     Lw_pir.Bucket_db.set db i (bucket i 0)
@@ -279,7 +278,7 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
     Lw_store.Writer.set w1 i (bucket i 0)
   done;
   ignore (Lw_store.Writer.seal w1);
-  (* epoch 2: sparse churn, mirrored into the flat db *)
+  (* epoch 2: sparse churn, mirrored into the reference *)
   let w2 = Lw_store.writer st in
   let rec churn i =
     if i < size then begin
@@ -290,7 +289,8 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
   in
   churn 3;
   let snap = Lw_store.Writer.seal w2 in
-  let flat_server = Lw_pir.Server.create db in
+  let one_block = Lw_pir.Bucket_db.to_store ~block_bytes:(size * bucket_size) db in
+  let one_block_server = Lw_pir.Server.of_snapshot (Lw_store.current one_block) in
   let snap_server = Lw_pir.Server.of_snapshot snap in
   let rng = Lw_crypto.Drbg.create ~seed:"trace-check-snapshot" in
   let expected_trace = List.init size Fun.id in
@@ -301,21 +301,19 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
         let rec check_keys = function
           | [] -> check_alphas rest
           | k :: more ->
-              Lw_pir.Bucket_db.set_tracing db true;
-              let flat_share = Lw_pir.Server.answer flat_server k in
-              let flat_trace = Lw_pir.Bucket_db.access_trace db in
-              Lw_pir.Bucket_db.set_tracing db false;
-              Lw_store.Snapshot.set_tracing snap true;
-              let snap_share = Lw_pir.Server.answer snap_server k in
-              let snap_trace = Lw_store.Snapshot.access_trace snap in
-              Lw_store.Snapshot.set_tracing snap false;
-              if not (String.equal flat_share snap_share) then
-                err "snapshot share differs from flat share for alpha=%d" alpha
-              else if flat_trace <> expected_trace then
-                err "flat scan trace for alpha=%d is not the full in-order walk" alpha
+              let one_share, one_trace =
+                traced one_block (fun () -> Lw_pir.Server.answer one_block_server k)
+              in
+              let snap_share, snap_trace =
+                traced st (fun () -> Lw_pir.Server.answer snap_server k)
+              in
+              if not (String.equal one_share snap_share) then
+                err "snapshot share differs from one-block share for alpha=%d" alpha
+              else if one_trace <> expected_trace then
+                err "one-block scan trace for alpha=%d is not the full in-order walk" alpha
               else if snap_trace <> expected_trace then
                 err
-                  "CoW snapshot scan trace for alpha=%d differs from the flat walk: \
+                  "CoW snapshot scan trace for alpha=%d differs from the one-block walk: \
                    the epoch engine leaks"
                   alpha
               else check_keys more
@@ -323,6 +321,46 @@ let check_snapshot_scan ?(domain_bits = 6) ?(bucket_size = 32) ?(alphas = [ 5; 4
         check_keys [ k0; k1 ]
   in
   check_alphas alphas
+
+(* ------------------------------------------------------------------ *)
+(* Sharded frontend over a shared snapshot (PIR mode)                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Frontend shards are slices of one pinned snapshot, so the shards of
+   one answer read shared bytes and trace into the same store. Walking
+   the shards in order must therefore leave exactly the full in-order
+   walk, for 2, 4 and 8 shards, two secret indices and both parties —
+   and the combined share must equal the unsharded answer, so the
+   checker cannot pass on a frontend that skips its scan. *)
+let check_sharded_scan () =
+  let domain_bits = 6 in
+  let st, server = random_store ~domain_bits ~bucket_size:32 in
+  let rng = Lw_crypto.Drbg.create ~seed:"trace-check-sharded" in
+  let expected = List.init (1 lsl domain_bits) Fun.id in
+  let rec check = function
+    | [] -> Ok ()
+    | (shard_bits, alpha) :: rest ->
+        let fe = Lightweb.Zltp_frontend.of_store st ~shard_bits in
+        let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits ~alpha rng in
+        let probes =
+          List.map
+            (fun k ->
+              let share, t = traced st (fun () -> Lightweb.Zltp_frontend.answer fe k) in
+              (t, String.equal share (Lw_pir.Server.answer server k)))
+            [ k0; k1 ]
+        in
+        (* comparing a key-derived trace against the public walk is this
+           checker's entire purpose, as in [check_partitioned_scan] *)
+        (* lw-lint: allow taint lines=8 *)
+        if List.exists (fun (t, _) -> t <> expected) probes then
+          err "sharded scan trace (%d shards, alpha=%d) is not the full in-order walk"
+            (1 lsl shard_bits) alpha
+        else if List.exists (fun (_, ok) -> not ok) probes then
+          err "sharded answer (%d shards, alpha=%d) differs from the unsharded answer"
+            (1 lsl shard_bits) alpha
+        else check rest
+  in
+  check (List.concat_map (fun sb -> [ (sb, 3); (sb, 47) ]) [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
 (* Single-server PIR scan (Single mode)                                *)
@@ -445,7 +483,7 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
       Zltp_client.replica ~name (fun () ->
           let srv =
             Zltp_server.create ~server_id:name ~blob_size:bucket_size
-              (Zltp_backend.flat (Lw_pir.Server.create (make_db ())))
+              (Zltp_backend.versioned (Lw_pir.Bucket_db.to_store (make_db ())))
           in
           let ep, _ = Lw_net.Faulty.wrap ~clock schedule (Zltp_server.endpoint srv) in
           Ok (tap log ep))
@@ -516,21 +554,16 @@ let check_retry ?(domain_bits = 6) ?(bucket_size = 32) ?(alpha = 13) () =
           end)
 
 let check_all () =
-  match check_enclave () with
-  | Error _ as e -> e
-  | Ok () -> (
-      match check_bucket_scan () with
-      | Error _ as e -> e
-      | Ok () -> (
-          match check_batch_scan () with
-          | Error _ as e -> e
-          | Ok () -> (
-              match check_partitioned_scan () with
-              | Error _ as e -> e
-              | Ok () -> (
-                  match check_snapshot_scan () with
-                  | Error _ as e -> e
-                  | Ok () -> (
-                      match check_spir_scan () with
-                      | Error _ as e -> e
-                      | Ok () -> check_retry ())))))
+  List.fold_left
+    (fun acc check -> Result.bind acc check)
+    (Ok ())
+    [
+      (fun () -> check_enclave ());
+      (fun () -> check_bucket_scan ());
+      (fun () -> check_batch_scan ());
+      (fun () -> check_partitioned_scan ());
+      (fun () -> check_snapshot_scan ());
+      (fun () -> check_sharded_scan ());
+      (fun () -> check_spir_scan ());
+      (fun () -> check_retry ());
+    ]

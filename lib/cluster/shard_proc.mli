@@ -5,7 +5,7 @@
     - recovers warm-restart state from the {!Manifest} (if any),
       rebuilding its store {e at the manifest's epoch number};
     - serves ZLTP over TCP on an ephemeral port
-      ([Zltp_server.Pir_versioned]);
+      ([Zltp_backend.versioned] over its store);
     - dials the supervisor's control port, sends [Register], and then
       executes control commands ([Refresh] / [Activate] / [Status] /
       [Scrape] / [Quit]) until the channel closes or [Quit] arrives.

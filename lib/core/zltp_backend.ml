@@ -36,16 +36,6 @@ let pin_error_wire ~epoch = function
   | Lw_store.Ahead ->
       (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
 
-(* The single/batch scan entry points, through the parallel kernel when
-   the knob asks for it (the kernel's own work-size cutoff keeps small
-   databases serial either way). *)
-let scan_one ~domains s k =
-  if domains > 1 then Lw_pir.Server.answer_domains ~domains s k else Lw_pir.Server.answer s k
-
-let scan_many ~domains s keys =
-  if domains > 1 then Lw_pir.Server.answer_batch_domains ~domains s keys
-  else Lw_pir.Server.answer_batch s keys
-
 (* Advertised-epoch override, shared by every constructor: a mutable cell
    the control plane flips; [current] falls back to the backend's own
    epoch when unset. *)
@@ -55,33 +45,6 @@ let advertised () =
   let get () = !cell in
   let current own = match !cell with Some e -> e | None -> own () in
   (set, get, current)
-
-let flat server : t =
-  let set_adv, get_adv, current = advertised () in
-  let domains = ref 1 in
-  (module struct
-    type view = unit
-
-    let kind = "flat"
-    let modes = [ Zltp_mode.Pir2 ]
-    let domain_bits = Lw_pir.Server.domain_bits server
-    let health () = (1, 0)
-    let current_epoch () = current (fun () -> 0)
-    let oldest_epoch () = 0
-    let set_advertised_epoch = set_adv
-    let advertised_epoch = get_adv
-    let set_scan_domains d = domains := d
-
-    let pin ~epoch =
-      match check_epoch_exact ~have:0 ~queried:epoch with Ok () -> Ok () | Error _ as e -> e
-
-    let unpin () = ()
-    let answer () k = Ok (scan_one ~domains:!domains server k)
-    let answer_batch () keys = Ok (scan_many ~domains:!domains server keys)
-    let spir_hint () = wrong_mode "spir_hint" kind
-    let spir_answer () _ = wrong_mode "spir_answer" kind
-    let enclave_get _ = wrong_mode "enclave_get" kind
-  end)
 
 let versioned store : t =
   let set_adv, get_adv, current = advertised () in
@@ -99,19 +62,13 @@ let versioned store : t =
     let advertised_epoch = get_adv
     let set_scan_domains d = domains := d
 
-    let pin ~epoch =
-      match Lw_store.pin store ~epoch with
-      | Ok snap -> Ok snap
-      | Error Lw_store.Retired ->
-          Error (Zltp_wire.err_epoch_retired, Printf.sprintf "epoch %d retired" epoch)
-      | Error Lw_store.Ahead ->
-          Error (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
+    let pin ~epoch = Result.map_error (pin_error_wire ~epoch) (Lw_store.pin store ~epoch)
 
     let unpin snap = Lw_store.unpin store snap
-    let answer snap k = Ok (scan_one ~domains:!domains (Lw_pir.Server.of_snapshot snap) k)
-
     let answer_batch snap keys =
-      Ok (scan_many ~domains:!domains (Lw_pir.Server.of_snapshot snap) keys)
+      Ok (Lw_pir.Server.answer_batch ~domains:!domains (Lw_pir.Server.of_snapshot snap) keys)
+
+    let answer snap k = Result.map (fun shares -> shares.(0)) (answer_batch snap [| k |])
 
     let spir_hint _ = wrong_mode "spir_hint" kind
     let spir_answer _ _ = wrong_mode "spir_answer" kind
@@ -200,13 +157,7 @@ let single ?cache store : t =
     let advertised_epoch = get_adv
     let set_scan_domains _ = () (* the SPIR scan kernel is serial by design *)
 
-    let pin ~epoch =
-      match Lw_store.pin store ~epoch with
-      | Ok snap -> Ok snap
-      | Error Lw_store.Retired ->
-          Error (Zltp_wire.err_epoch_retired, Printf.sprintf "epoch %d retired" epoch)
-      | Error Lw_store.Ahead ->
-          Error (Zltp_wire.err_epoch_ahead, Printf.sprintf "epoch %d not yet published" epoch)
+    let pin ~epoch = Result.map_error (pin_error_wire ~epoch) (Lw_store.pin store ~epoch)
 
     let unpin snap = Lw_store.unpin store snap
     let answer _ _ = wrong_mode "answer" kind

@@ -23,8 +23,8 @@ module type S = sig
       path — a concurrent seal can never retire an epoch mid-answer. *)
 
   val kind : string
-  (** Short human label for logs ("flat", "versioned", "sharded",
-      "enclave", "single"). *)
+  (** Short human label for logs ("versioned", "sharded", "enclave",
+      "single"). *)
 
   val modes : Zltp_mode.t list
   (** The modes this backend can serve — what the server offers during
@@ -53,9 +53,9 @@ module type S = sig
   val advertised_epoch : unit -> int option
 
   val set_scan_domains : int -> unit
-  (** Workers the scan kernels may use ({!Lw_pir.Server.answer_domains}).
-      Backends without a local scan kernel ignore it (the sharded
-      front-end carries its own knob). *)
+  (** Workers the scan kernels may use ([Lw_pir.Server.answer_batch
+      ~domains]). Backends without a local scan kernel ignore it (the
+      sharded front-end carries its own knob). *)
 
   val pin : epoch:int -> (view, int * string) result
   (** Pin the named epoch. An epoch this replica no longer / does not
@@ -88,13 +88,11 @@ type t = (module S)
 
 (** {2 Constructors} *)
 
-val flat : Lw_pir.Server.t -> t
-(** Single unversioned data array (microbenchmark scale); forever at
-    epoch 0, [Pir2] only. *)
-
 val versioned : Lw_store.t -> t
 (** Epoch-versioned engine: each query answered against the epoch it
-    names, pinned for the duration of the scan. [Pir2] only. *)
+    names, pinned for the duration of the scan. [Pir2] only. A flat
+    table serves as the one-epoch store {!Lw_pir.Bucket_db.to_store}
+    seals. *)
 
 val sharded : Zltp_frontend.t -> t
 (** Front-end + shards (§5.2); epoch agreement across shards checked per

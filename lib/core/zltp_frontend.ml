@@ -9,21 +9,20 @@ type tree_node = Leaf of int | Inner of { levels : int; children : tree_node arr
 type tree_rep = { root : tree_node; tdepth : int; tnodes : int }
 
 type t = {
+  store : Lw_store.t;
   domain_bits : int;
   shard_bits : int;
   bucket_size : int;
-  shards : Lw_pir.Server.t array;
+  pins : Lw_store.Snapshot.t array;
+      (* the snapshot each shard serves, one pin per shard: answers may
+         only be combined while every shard sits at the same epoch *)
+  shards : Lw_pir.Server.t array; (* shard i = slice i of pins.(i) *)
   down : bool array;
-  epochs : int array;
-      (* which store epoch each shard's copy reflects: answers may only be
-         combined while every shard sits at the same epoch *)
-  mutable pinned : (Lw_store.t * Lw_store.Snapshot.t) option;
-      (* the engine snapshot the shard copies were refreshed from last *)
   shard_hist : Lw_obs.Metrics.histogram array;
       (* per-shard answer latency; shared by name across front-ends of the
          same width, which is what an operator wants from a process dump *)
   mutable scan_domains : int;
-      (* workers each shard's scan kernel may use (Server.answer_domains);
+      (* workers each shard's scan may use (Server.answer_batch ~domains);
          1 = the serial fused kernel *)
   mutable tree : (int * tree_rep) option;
       (* (fanout_bits, tree): when set, single-key answers route through
@@ -41,39 +40,6 @@ let g_epoch = Lw_obs.Metrics.gauge "zltp.frontend.epoch"
 let shard_histogram i =
   Lw_obs.Metrics.histogram (Printf.sprintf "zltp.frontend.shard%02d.answer_seconds" i)
 
-let create ~domain_bits ~shard_bits ~bucket_size =
-  if shard_bits <= 0 || shard_bits >= domain_bits then
-    invalid_arg "Zltp_frontend.create: shard_bits must be in (0, domain_bits)";
-  let rem = domain_bits - shard_bits in
-  let shards =
-    Array.init (1 lsl shard_bits) (fun _ ->
-        Lw_pir.Server.create (Lw_pir.Bucket_db.create ~domain_bits:rem ~bucket_size))
-  in
-  {
-    domain_bits;
-    shard_bits;
-    bucket_size;
-    shards;
-    down = Array.make (1 lsl shard_bits) false;
-    epochs = Array.make (1 lsl shard_bits) 0;
-    pinned = None;
-    shard_hist = Array.init (1 lsl shard_bits) shard_histogram;
-    scan_domains = 1;
-    tree = None;
-  }
-
-let of_db db ~shard_bits =
-  let domain_bits = Lw_pir.Bucket_db.domain_bits db in
-  let t = create ~domain_bits ~shard_bits ~bucket_size:(Lw_pir.Bucket_db.bucket_size db) in
-  let rem = domain_bits - shard_bits in
-  for i = 0 to Lw_pir.Bucket_db.size db - 1 do
-    if not (Lw_pir.Bucket_db.is_empty db i) then begin
-      let shard = i lsr rem and local = i land ((1 lsl rem) - 1) in
-      Lw_pir.Bucket_db.set (Lw_pir.Server.db t.shards.(shard)) local (Lw_pir.Bucket_db.get db i)
-    end
-  done;
-  t
-
 let domain_bits t = t.domain_bits
 let shard_bits t = t.shard_bits
 let shard_count t = Array.length t.shards
@@ -82,101 +48,75 @@ let shard_histograms t = Array.copy t.shard_hist
 
 (* ---- epoch bookkeeping over the versioned engine ---- *)
 
-let announced_epoch t = Array.fold_left max 0 t.epochs
+let shard_epoch t i = Lw_store.Snapshot.epoch t.pins.(i)
+let announced_epoch t = Array.fold_left (fun e s -> max e (Lw_store.Snapshot.epoch s)) 0 t.pins
 
 let epoch_agreed t =
-  let e = t.epochs.(0) in
-  if Array.for_all (fun x -> x = e) t.epochs then Some e else None
+  let e = shard_epoch t 0 in
+  if Array.for_all (fun s -> Lw_store.Snapshot.epoch s = e) t.pins then Some e else None
 
-let set_shard_epoch t i epoch =
-  if i < 0 || i >= Array.length t.shards then invalid_arg "Zltp_frontend.set_shard_epoch";
-  t.epochs.(i) <- epoch;
-  Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t))
+(* One more pin on an epoch the caller already pins, so it cannot have
+   retired in between. *)
+let repin st snap = Result.get_ok (Lw_store.pin st ~epoch:(Lw_store.Snapshot.epoch snap))
 
-(* Copy one shard's slice of a snapshot into the shard's flat database:
-   either the whole slice, or only the [ranges] (global bucket runs)
-   intersecting it. *)
-let copy_slice t snap shard ranges =
-  let rem = t.domain_bits - t.shard_bits in
-  let db = Lw_pir.Server.db t.shards.(shard) in
-  let lo = shard lsl rem and hi = (shard + 1) lsl rem in
-  let copy_range base count =
-    let from = max base lo and upto = min (base + count) hi in
-    for global = from to upto - 1 do
-      let local = global land ((1 lsl rem) - 1) in
-      if Lw_store.Snapshot.is_empty snap global then Lw_pir.Bucket_db.clear db local
-      else Lw_pir.Bucket_db.set db local (Lw_store.Snapshot.get snap global)
-    done
-  in
-  (match ranges with
-  | None -> copy_range lo (hi - lo)
-  | Some rs -> List.iter (fun (base, count) -> copy_range base count) rs);
-  t.epochs.(shard) <- Lw_store.Snapshot.epoch snap
+let shard_server ~shard_bits snap i =
+  Lw_pir.Server.slice (Lw_pir.Server.of_snapshot snap) ~levels:shard_bits ~prefix:i
 
 let of_store st ~shard_bits =
+  let domain_bits = Lw_store.domain_bits st in
+  if shard_bits <= 0 || shard_bits >= domain_bits then
+    invalid_arg "Zltp_frontend.of_store: shard_bits must be in (0, domain_bits)";
+  let n = 1 lsl shard_bits in
   let snap = Lw_store.pin_latest st in
-  (* the pin is only recorded in [t.pinned] once the copies are done; if
-     anything in between raises, release it instead of leaking the epoch *)
-  let t =
-    try
-      let t =
-        create ~domain_bits:(Lw_store.domain_bits st) ~shard_bits
-          ~bucket_size:(Lw_store.bucket_size st)
-      in
-      for shard = 0 to Array.length t.shards - 1 do
-        copy_slice t snap shard None
-      done;
-      t
-    with e ->
-      Lw_store.unpin st snap;
-      raise e
+  let pins =
+    Fun.protect
+      ~finally:(fun () -> Lw_store.unpin st snap)
+      (fun () -> Array.init n (fun _ -> repin st snap))
   in
-  t.pinned <- Some (st, snap);
-  Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t));
-  t
+  let shards = Array.init n (fun i -> shard_server ~shard_bits pins.(i) i) in
+  Lw_obs.Metrics.set g_epoch (float_of_int (Lw_store.Snapshot.epoch snap));
+  {
+    store = st;
+    domain_bits;
+    shard_bits;
+    bucket_size = Lw_store.bucket_size st;
+    pins;
+    shards;
+    down = Array.make n false;
+    shard_hist = Array.init n shard_histogram;
+    scan_domains = 1;
+    tree = None;
+  }
 
-(* Bring every shard up to the engine's current epoch, copying only the
-   bucket ranges whose CoW blocks actually changed since the epoch the
-   shard last copied ([Snapshot.diff_ranges]); a shard at any other epoch
-   (operator intervention, aborted refresh) is re-copied in full.
+(* Move every shard not yet at the engine's current epoch onto it: pin
+   the new epoch for the shard, re-slice, release the shard's old pin.
+   Nothing is copied — a shard is a view of the snapshot it pins.
 
-   [?abort_after] is a test/chaos hook: stop after updating that many
-   shards, leaving the rest at their old epoch — the mixed-epoch state
-   the answer paths must refuse. The new snapshot replaces the pin either
-   way, so a later refresh full-copies the stragglers (their recorded
-   epoch no longer matches the pinned one). *)
+   [?abort_after] is a test/chaos hook: stop after moving that many
+   shards, leaving the rest pinned at their old epoch — the mixed-epoch
+   state the answer paths must refuse. A straggler's pin keeps its epoch
+   live past the keep window until the next refresh moves it on. *)
 let refresh ?abort_after t =
-  let st, old_snap =
-    match t.pinned with
-    | Some p -> p
-    | None -> invalid_arg "Zltp_frontend.refresh: front-end not backed by a store"
-  in
-  let snap = Lw_store.pin_latest st in
-  (* the new pin replaces the old one only after the copies; if a copy
-     raises, release the new pin and leave the old state in place *)
+  let snap = Lw_store.pin_latest t.store in
   let updated =
-    try
-      let new_epoch = Lw_store.Snapshot.epoch snap in
-      let old_epoch = Lw_store.Snapshot.epoch old_snap in
-      let diff = lazy (Lw_store.Snapshot.diff_ranges old_snap snap) in
-      let updated = ref 0 in
-      let budget = Option.value abort_after ~default:max_int in
-      for shard = 0 to Array.length t.shards - 1 do
-        if t.epochs.(shard) <> new_epoch && !updated < budget then begin
-          if t.epochs.(shard) = old_epoch then
-            copy_slice t snap shard (Some (Lazy.force diff))
-          else copy_slice t snap shard None;
-          incr updated
-        end
-      done;
-      !updated
-    with e ->
-      Lw_store.unpin st snap;
-      raise e
+    Fun.protect
+      ~finally:(fun () -> Lw_store.unpin t.store snap)
+      (fun () ->
+        let epoch = Lw_store.Snapshot.epoch snap in
+        let budget = Option.value abort_after ~default:max_int in
+        let updated = ref 0 in
+        for i = 0 to Array.length t.shards - 1 do
+          if shard_epoch t i <> epoch && !updated < budget then begin
+            let old = t.pins.(i) in
+            t.pins.(i) <- repin t.store snap;
+            t.shards.(i) <- shard_server ~shard_bits:t.shard_bits snap i;
+            Lw_store.unpin t.store old;
+            incr updated
+          end
+        done;
+        !updated)
   in
-  t.pinned <- Some (st, snap);
   Lw_obs.Metrics.set g_epoch (float_of_int (announced_epoch t));
-  Lw_store.unpin st old_snap;
   updated
 
 let shards_down t =
@@ -213,23 +153,15 @@ let check_epochs t =
   | None ->
       let l =
         String.concat ","
-          (Array.to_list (Array.mapi (fun i e -> Printf.sprintf "%d:%d" i e) t.epochs))
+          (List.init (Array.length t.pins) (fun i -> Printf.sprintf "%d:%d" i (shard_epoch t i)))
       in
       Error (Printf.sprintf "epoch mismatch across shards: %s" l)
 
-let route t global =
+(* Read through the shard that owns the bucket, at that shard's epoch. *)
+let get_bucket t global =
   if global < 0 || global >= 1 lsl t.domain_bits then
     invalid_arg "Zltp_frontend: index out of domain";
-  let rem = t.domain_bits - t.shard_bits in
-  (global lsr rem, global land ((1 lsl rem) - 1))
-
-let set_bucket t global data =
-  let shard, local = route t global in
-  Lw_pir.Bucket_db.set (Lw_pir.Server.db t.shards.(shard)) local data
-
-let get_bucket t global =
-  let shard, local = route t global in
-  Lw_pir.Bucket_db.get (Lw_pir.Server.db t.shards.(shard)) local
+  Lw_store.Snapshot.get t.pins.(global lsr (t.domain_bits - t.shard_bits)) global
 
 let check_key t k =
   if Lw_dpf.Dpf.domain_bits k <> t.domain_bits then
@@ -263,18 +195,13 @@ let set_scan_domains t n =
 
 let scan_domains t = t.scan_domains
 
-(* One shard's contribution, through the parallel scan kernel when the
-   knob asks for it (Server.answer_domains applies its own work-size
-   cutoff, so small shards stay on the serial kernel either way). *)
-let answer_shard t i sub =
-  if t.scan_domains > 1 then
-    Lw_pir.Server.answer_domains ~domains:t.scan_domains t.shards.(i) sub
-  else Lw_pir.Server.answer t.shards.(i) sub
-
+(* One shard's contribution for a batch of its sub-keys
+   (Server.answer_batch applies its own work-size cutoff, so small shards
+   stay on the serial kernel whatever the knob says). *)
 let answer_batch_shard t i subs =
-  if t.scan_domains > 1 then
-    Lw_pir.Server.answer_batch_domains ~domains:t.scan_domains t.shards.(i) subs
-  else Lw_pir.Server.answer_batch t.shards.(i) subs
+  Lw_pir.Server.answer_batch ~domains:t.scan_domains t.shards.(i) subs
+
+let answer_shard t i sub = (answer_batch_shard t i [| sub |]).(0)
 
 (* ---- hierarchical fan-out tree ---- *)
 
@@ -323,10 +250,6 @@ let answer_via_tree t rep k =
         let acc = Bytes.make t.bucket_size '\x00' in
         Array.iteri
           (fun i child ->
-            (* the branches [go] takes are on the PUBLIC tree shape
-               (Leaf/Inner) and scan config, never on key bits — the
-               interprocedural taint over-approximates here *)
-            (* lw-lint: allow taint lines=1 *)
             let share = go child subs.(i) in
             Lw_util.Xorbuf.xor_string_into ~src:share ~src_pos:0 ~dst:acc ~dst_pos:0
               ~len:t.bucket_size)
@@ -349,9 +272,6 @@ let leaf_subkeys t rep k =
     | Leaf s -> out.(s) <- key
     | Inner { levels; children } ->
         let subs = Lw_dpf.Distributed.split key ~shard_bits:levels in
-        (* [go] branches on the PUBLIC tree shape (Leaf/Inner), never on
-           key bits — the interprocedural taint over-approximates here *)
-        (* lw-lint: allow taint lines=1 *)
         Array.iteri (fun i child -> go child subs.(i)) children
   in
   go rep.root k;
@@ -407,9 +327,6 @@ let answer_batch t keys =
         let by_shard =
           Array.mapi
             (fun s _shard ->
-              (* [answer_batch_shard] branches only on [t.scan_domains],
-                 public serving config — not on the sub-keys *)
-              (* lw-lint: allow taint lines=2 *)
               timed_shard t s (fun () ->
                   answer_batch_shard t s (Array.map (fun sub -> sub.(s)) subs)))
             t.shards
@@ -450,61 +367,3 @@ let answer_timed t k =
       subs
   in
   (combine_shares t shares, List.rev !timings)
-
-type shard_span = { span_shard : int; elapsed_s : float }
-
-let answer_parallel_timed ?num_domains ?fault t k =
-  check_key t k;
-  let workers =
-    match num_domains with
-    | Some n -> max 1 n
-    | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  let subs = Lw_dpf.Distributed.split k ~shard_bits:t.shard_bits in
-  let n = Array.length subs in
-  let shares = Array.make n None in
-  let elapsed = Array.make n 0. in
-  let next = Atomic.make 0 in
-  let clock = Lw_obs.Span.clock () in
-  (* Each worker claims distinct indices through [Atomic.fetch_and_add],
-     so the [shares] and [elapsed] writes below are disjoint by
-     construction, and the joins before the combine give this domain the
-     happens-before edge back; no lock is needed. *)
-  (* lw-lint: allow race lines=16 *)
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match fault with Some f -> f i | None -> ());
-        let t0 = Lw_obs.Clock.now clock in
-        let share = Lw_pir.Server.answer t.shards.(i) subs.(i) in
-        elapsed.(i) <- Lw_obs.Clock.now clock -. t0;
-        Lw_obs.Metrics.observe t.shard_hist.(i) elapsed.(i);
-        shares.(i) <- Some share;
-        go ()
-      end
-    in
-    go ()
-  in
-  let domains = List.init (min workers n) (fun _ -> Domain.spawn worker) in
-  (* Join every domain before acting on any failure, so a raising worker
-     can neither leak the other domains nor let a partially-filled share
-     array reach the XOR combine below. *)
-  let first_failure =
-    List.fold_left
-      (fun acc d ->
-        match Domain.join d with
-        | () -> acc
-        | exception e -> ( match acc with None -> Some e | Some _ -> acc))
-      None domains
-  in
-  (match first_failure with Some e -> raise e | None -> ());
-  (* unreachable when no worker raised: fetch_and_add hands out each
-     index exactly once and a non-raising worker always stores it *)
-  let all = Array.map (fun s -> Option.get s) shares in
-  Lw_obs.Metrics.incr m_answers;
-  ( combine_shares t all,
-    Array.mapi (fun i e -> { span_shard = i; elapsed_s = e }) elapsed )
-
-let answer_parallel ?num_domains ?fault t k =
-  fst (answer_parallel_timed ?num_domains ?fault t k)

@@ -1,33 +1,31 @@
 (** Sharded ZLTP data plane (§5.2): a front-end owns [2^shard_bits] data
-    shards, each holding the slice of the bucket domain whose top bits
+    shards, each serving the slice of the bucket domain whose top bits
     equal its shard index. Per query, the front-end expands the top of the
     client's DPF tree, hands every shard its sub-tree root, and XORs the
     shard answers — so each shard pays only the small-domain evaluation
     cost, exactly the distribution argument the paper's Table 2 scale-up
-    rests on. *)
+    rests on.
+
+    Shards are views, not copies: shard [i] is
+    [Lw_pir.Server.slice ~levels:shard_bits ~prefix:i] of the
+    {!Lw_store} snapshot that shard last refreshed to, and each shard
+    holds its own pin on that snapshot. *)
 
 type t
 
-val create : domain_bits:int -> shard_bits:int -> bucket_size:int -> t
-(** Empty sharded store over a [2^domain_bits] global bucket domain. *)
-
-val of_db : Lw_pir.Bucket_db.t -> shard_bits:int -> t
-(** Split an existing monolithic database into shards (copies buckets). *)
-
 val of_store : Lw_store.t -> shard_bits:int -> t
-(** Shard the current epoch of the versioned engine. The front-end keeps
-    the copied snapshot pinned so {!refresh} can later diff against it. *)
+(** Shard the current epoch of the versioned engine: every shard pins it.
+    Raises [Invalid_argument] unless [0 < shard_bits < domain_bits]. *)
 
 val refresh : ?abort_after:int -> t -> int
-(** Bring every shard up to the engine's current epoch and return how
-    many shards were updated. A shard still at the previously copied
-    epoch pays only the changed bucket ranges
-    ({!Lw_store.Snapshot.diff_ranges}); a shard at any other epoch is
-    re-copied in full. [?abort_after n] (test/chaos hook) stops after
-    updating [n] shards, leaving the rest behind — the mixed-epoch state
-    the [_result] answer paths refuse; the following [refresh] catches
-    the stragglers up. Raises [Invalid_argument] when the front-end was
-    not built by {!of_store}. *)
+(** Move every shard that is not at the engine's current epoch onto it
+    (pin the new epoch, re-slice, release the old pin) and return how
+    many shards moved. No bytes are copied. [?abort_after n] (test/chaos
+    hook) stops after moving [n] shards, leaving the rest pinned at their
+    old epoch — the mixed-epoch state the [_result] answer paths refuse.
+    A straggler's pin keeps its epoch live even after it ages out of the
+    store's keep window; the following [refresh] moves it on and so
+    releases the epoch. *)
 
 val domain_bits : t -> int
 val shard_bits : t -> int
@@ -42,9 +40,9 @@ val shard_histograms : t -> Lw_obs.Metrics.histogram array
 (** {2 Scan parallelism}
 
     Per-shard scans can run on OCaml domains
-    ({!Lw_pir.Server.answer_domains}); the knob applies to every answer
-    path, and {!Lw_pir.Server.parallel_cutoff_bytes} keeps small shards
-    on the serial kernel regardless. *)
+    ([Lw_pir.Server.answer_batch ~domains]); the knob applies to every
+    answer path, and {!Lw_pir.Server.parallel_cutoff_bytes} keeps small
+    shards on the serial kernel regardless. *)
 
 val set_scan_domains : t -> int -> unit
 (** Workers each shard's scan may use; 1 (the default) is the serial
@@ -87,20 +85,15 @@ val tree_nodes : t -> int
     counter) unless every shard sits at the same epoch. *)
 
 val epoch_agreed : t -> int option
-(** [Some e] iff every shard's copy reflects epoch [e]. *)
+(** [Some e] iff every shard serves epoch [e]. *)
 
 val announced_epoch : t -> int
 (** The highest shard epoch — what the server announces in [Welcome] /
     [Health_reply] (also the [zltp.frontend.epoch] gauge). *)
 
-val set_shard_epoch : t -> int -> int -> unit
-(** [set_shard_epoch t i e] overrides shard [i]'s recorded epoch — a
-    test/chaos hook for forcing the mixed-epoch refusal path. *)
-
-val set_bucket : t -> int -> string -> unit
-(** [set_bucket t global_index data] routes to the owning shard. *)
-
 val get_bucket : t -> int -> string
+(** [get_bucket t global_index] reads the bucket through the shard that
+    owns it, at that shard's epoch (not private: for checks and tests). *)
 
 (** {2 Shard health}
 
@@ -146,28 +139,3 @@ val answer_timed : t -> Lw_dpf.Dpf.key -> string * shard_timing list
     virtual clocks make them deterministic) for E7. The sequential
     answer paths also feed the per-shard
     [zltp.frontend.shardNN.answer_seconds] histograms in {!Lw_obs}. *)
-
-type shard_span = { span_shard : int; elapsed_s : float }
-(** One shard's total answer time inside a parallel answer. *)
-
-val answer_parallel :
-  ?num_domains:int -> ?fault:(int -> unit) -> t -> Lw_dpf.Dpf.key -> string
-(** Shard answers computed on OCaml domains ([num_domains] defaults to
-    [Domain.recommended_domain_count ()]), modelling the paper's fleet of
-    data servers working one request concurrently. All domains are
-    joined before any worker failure is re-raised — a raising shard can
-    neither leak domains nor let a partial share array be XOR-combined.
-
-    [?fault] is a fault-injection hook for tests and the chaos harness:
-    it runs in the worker just before shard [i] computes, so a rigged
-    shard can raise exactly where a real backend would fail. *)
-
-val answer_parallel_timed :
-  ?num_domains:int ->
-  ?fault:(int -> unit) ->
-  t ->
-  Lw_dpf.Dpf.key ->
-  string * shard_span array
-(** {!answer_parallel} plus per-shard elapsed times (span clock), the
-    parallel counterpart of {!answer_timed} — which the parallel path
-    used to silently lack. *)

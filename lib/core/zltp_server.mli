@@ -2,7 +2,7 @@
     answers private-GETs in its configured modes.
 
     The server is backend-agnostic: it is constructed over any
-    {!Zltp_backend.t} (flat, versioned, sharded, enclave, single-server
+    {!Zltp_backend.t} (versioned, sharded, enclave, single-server
     PIR — or anything else implementing the signature) and drives every
     request through the [BACKEND] contract: pin the queried epoch, call
     the verb, unpin on every exit path. It never pattern-matches on what
@@ -26,10 +26,10 @@ val create :
     must match the store the backend was populated from.
 
     [scan_domains] (default 1) is forwarded to the backend
-    ({!Zltp_backend.S.set_scan_domains}): flat/versioned backends answer
-    through the domain-partitioned scan kernel
-    ({!Lw_pir.Server.answer_domains}); backends with their own knob (the
-    sharded front-end) or no scan kernel ignore it. *)
+    ({!Zltp_backend.S.set_scan_domains}): the versioned backend answers
+    through the domain-partitioned scan ([Lw_pir.Server.answer_batch
+    ~domains]); backends with their own knob (the sharded front-end) or
+    no scan kernel ignore it. *)
 
 val backend : t -> Zltp_backend.t
 val blob_size : t -> int
@@ -37,7 +37,7 @@ val modes : t -> Zltp_mode.t list
 val queries_served : t -> int
 
 val health : t -> int * int
-(** [(shards_total, shards_down)] — what a [Health] probe reports. A flat
+(** [(shards_total, shards_down)] — what a [Health] probe reports. A versioned
     or enclave backend counts as a single always-up shard. *)
 
 val current_epoch : t -> int

@@ -1,13 +1,11 @@
 let trivial_fetch db i =
-  let out = Bytes.create (Bucket_db.bucket_size db) in
-  let acc = Bytes.make (Bucket_db.bucket_size db) '\x00' in
+  let target = Bucket_db.get db i in
+  (* the client receives every bucket; model the transfer by copying each
+     one out *)
   for j = 0 to Bucket_db.size db - 1 do
-    (* the client receives every bucket; we model the transfer by touching
-       each one *)
-    Bucket_db.xor_bucket_into db j ~dst:acc;
-    if j = i then Bytes.blit_string (Bucket_db.get db j) 0 out 0 (Bytes.length out)
+    ignore (Sys.opaque_identity (Bucket_db.get db j))
   done;
-  Bytes.unsafe_to_string out
+  target
 
 let direct_fetch db i = Bucket_db.get db i
 

@@ -12,18 +12,18 @@ let query ~domain_bits ~index rng =
   Bytes.set q1 byte (Char.chr (Char.code (Bytes.get q1 byte) lxor (1 lsl bit)));
   { q0; q1 }
 
-let answer db packed =
-  let n = Bucket_db.size db in
+(* Unpack to one selection byte per bucket and run the reference masked
+   scan: the same constant-trace walk the DPF scheme's two-pass path
+   makes, so E11 compares upload sizes over identical server work. *)
+let answer server packed =
+  let n = Server.size server in
   if Bytes.length packed < (n + 7) / 8 then invalid_arg "Bitvec_pir.answer: vector too short";
-  let acc = Bytes.make (Bucket_db.bucket_size db) '\x00' in
-  for i = 0 to n - 1 do
-    if Char.code (Bytes.unsafe_get packed (i / 8)) lsr (i mod 8) land 1 = 1 then
-      Bucket_db.xor_bucket_into db i ~dst:acc
-  done;
-  Bytes.unsafe_to_string acc
+  Server.scan server
+    (Bytes.init n (fun i ->
+         Char.unsafe_chr ((Char.code (Bytes.unsafe_get packed (i lsr 3)) lsr (i land 7)) land 1)))
 
 let combine ~resp0 ~resp1 = Lw_util.Xorbuf.xor resp0 resp1
 
-let fetch db ~index rng =
-  let q = query ~domain_bits:(Bucket_db.domain_bits db) ~index rng in
-  combine ~resp0:(answer db q.q0) ~resp1:(answer db q.q1)
+let fetch server ~index rng =
+  let q = query ~domain_bits:(Server.domain_bits server) ~index rng in
+  combine ~resp0:(answer server q.q0) ~resp1:(answer server q.q1)

@@ -17,11 +17,12 @@ val query : domain_bits:int -> index:int -> Lw_crypto.Drbg.t -> query
 val upload_bytes : domain_bits:int -> int
 (** Per server. *)
 
-val answer : Bucket_db.t -> Bytes.t -> string
-(** XOR of the buckets selected by the packed vector. *)
+val answer : Server.t -> Bytes.t -> string
+(** XOR of the buckets selected by the packed vector, through the
+    reference masked scan ({!Server.scan}). *)
 
 val combine : resp0:string -> resp1:string -> string
 
-val fetch : Bucket_db.t -> index:int -> Lw_crypto.Drbg.t -> string
+val fetch : Server.t -> index:int -> Lw_crypto.Drbg.t -> string
 (** Convenience: full protocol round against one database playing both
     (honest) servers. *)

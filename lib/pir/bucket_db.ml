@@ -1,10 +1,4 @@
-type t = {
-  domain_bits : int;
-  bucket_size : int;
-  data : Bytes.t;
-  mutable tracing : bool;
-  mutable trace_rev : int list; (* bucket indices touched, newest first *)
-}
+type t = { domain_bits : int; bucket_size : int; data : Bytes.t }
 
 let max_domain_bits = 26
 
@@ -12,13 +6,7 @@ let create ~domain_bits ~bucket_size =
   if domain_bits < 1 || domain_bits > max_domain_bits then
     invalid_arg "Bucket_db.create: domain_bits out of range";
   if bucket_size <= 0 then invalid_arg "Bucket_db.create: bucket_size must be positive";
-  {
-    domain_bits;
-    bucket_size;
-    data = Bytes.make ((1 lsl domain_bits) * bucket_size) '\x00';
-    tracing = false;
-    trace_rev = [];
-  }
+  { domain_bits; bucket_size; data = Bytes.make ((1 lsl domain_bits) * bucket_size) '\x00' }
 
 let domain_bits t = t.domain_bits
 let size t = 1 lsl t.domain_bits
@@ -27,16 +15,6 @@ let total_bytes t = Bytes.length t.data
 
 let check_index t i =
   if i < 0 || i >= size t then invalid_arg "Bucket_db: index out of range"
-
-(* Access tracing: off by default (a per-access cons would pollute the
-   scan benchmarks), switched on by the obliviousness checker to observe
-   which buckets a query touches. *)
-let set_tracing t on =
-  t.tracing <- on;
-  t.trace_rev <- []
-
-let access_trace t = List.rev t.trace_rev
-let record t i = if t.tracing then t.trace_rev <- i :: t.trace_rev
 
 let set t i data =
   check_index t i;
@@ -47,7 +25,6 @@ let set t i data =
 
 let get t i =
   check_index t i;
-  record t i;
   Bytes.sub_string t.data (i * t.bucket_size) t.bucket_size
 
 let is_empty t i =
@@ -57,49 +34,6 @@ let is_empty t i =
 let clear t i =
   check_index t i;
   Bytes.fill t.data (i * t.bucket_size) t.bucket_size '\x00'
-
-let xor_bucket_into t i ~dst =
-  check_index t i;
-  record t i;
-  Lw_util.Xorbuf.xor_into ~src:t.data ~src_pos:(i * t.bucket_size) ~dst ~dst_pos:0
-    ~len:t.bucket_size
-
-let xor_bucket_into_masked t i ~mask ~dst =
-  check_index t i;
-  record t i;
-  Lw_util.Xorbuf.xor_into_masked ~mask ~src:t.data ~src_pos:(i * t.bucket_size) ~dst
-    ~dst_pos:0 ~len:t.bucket_size
-
-(* The fused and batched kernels enter here at block/pack granularity,
-   but tracing stays bucket-granular: every bucket the kernel streams is
-   recorded individually, so [Lw_analysis.Trace_check] observes exactly
-   the per-bucket access sequence the scalar path would produce. *)
-
-let xor_block_into_masked t ~base ~count ~bits ~bits_pos ~dst =
-  if count < 0 || base < 0 || base > size t - count then
-    invalid_arg "Bucket_db: block out of range";
-  if t.tracing then
-    for j = 0 to count - 1 do
-      t.trace_rev <- (base + j) :: t.trace_rev
-    done;
-  Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos ~count ~src:t.data
-    ~src_pos:(base * t.bucket_size) ~bucket:t.bucket_size ~dst
-
-let xor_block_into_masked2 t ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0 ~dst1 =
-  if count < 0 || base < 0 || base > size t - count then
-    invalid_arg "Bucket_db: block out of range";
-  if t.tracing then
-    for j = 0 to count - 1 do
-      t.trace_rev <- (base + j) :: t.trace_rev
-    done;
-  Lw_util.Xorbuf.xor_buckets_masked2 ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~count ~src:t.data
-    ~src_pos:(base * t.bucket_size) ~bucket:t.bucket_size ~dst0 ~dst1
-
-let xor_bucket_into_packed t i ~pack ~dsts =
-  check_index t i;
-  record t i;
-  Lw_util.Xorbuf.xor_into_packed ~pack ~src:t.data ~src_pos:(i * t.bucket_size) ~dsts
-    ~dst_pos:0 ~len:t.bucket_size
 
 let fill_random t rng =
   let n = Bytes.length t.data in
@@ -117,3 +51,16 @@ let occupied t =
     if not (is_empty t i) then incr n
   done;
   !n
+
+(* Empty buckets are skipped: a CoW block with no occupied bucket stays
+   the initial epoch's zero block instead of being copied. *)
+let to_store ?block_bytes t =
+  let st =
+    Lw_store.create ?block_bytes ~keep:1 ~domain_bits:t.domain_bits ~bucket_size:t.bucket_size ()
+  in
+  let w = Lw_store.writer st in
+  for i = 0 to size t - 1 do
+    if not (is_empty t i) then Lw_store.Writer.set w i (get t i)
+  done;
+  ignore (Lw_store.Writer.seal w);
+  st

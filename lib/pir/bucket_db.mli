@@ -1,8 +1,11 @@
-(** A database of [2^domain_bits] fixed-size buckets in one contiguous
-    buffer — the object the ZLTP server's per-request linear scan walks.
+(** A mutable array of [2^domain_bits] fixed-size buckets in one
+    contiguous buffer: the working table {!Cuckoo} places records in, and
+    what tests and benchmarks fill before sealing it with {!to_store}.
 
-    Fixed bucket size is load-bearing for privacy: every response has the
-    same length no matter which record was fetched. *)
+    No PIR answer reads a [Bucket_db]: servers scan pinned
+    {!Lw_store.Snapshot}s ({!Server}). Fixed bucket size is load-bearing
+    for privacy: every response has the same length no matter which
+    record was fetched. *)
 
 type t
 
@@ -30,58 +33,17 @@ val is_empty : t -> int -> bool
 
 val clear : t -> int -> unit
 
-val xor_bucket_into : t -> int -> dst:Bytes.t -> unit
-(** [xor_bucket_into db i ~dst] XORs bucket [i] into [dst] (which must be
-    at least [bucket_size] long) — the scan's inner step. *)
-
-val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
-(** Like [xor_bucket_into], but each source byte is ANDed with
-    [mask land 0xff] first. With mask [0x00] the bucket is still read and
-    [dst] rewritten unchanged, so a scan that visits every bucket with a
-    mask derived from its selection bit has an access trace independent of
-    the selection — the constant-trace scan step. *)
-
-val xor_block_into_masked :
-  t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
-(** [xor_block_into_masked db ~base ~count ~bits ~bits_pos ~dst] XORs the
-    [count] consecutive buckets starting at [base] into [dst], bucket
-    [base + j] masked by the selection byte [bits.[bits_pos + j]] — the
-    fused scan's block step ({!Lw_util.Xorbuf.xor_buckets_masked} under
-    one bounds gate). Tracing records every bucket individually, exactly
-    as the scalar path would. *)
-
-val xor_block_into_masked2 :
-  t ->
-  base:int ->
-  count:int ->
-  bits0:Bytes.t ->
-  bits0_pos:int ->
-  bits1:Bytes.t ->
-  bits1_pos:int ->
-  dst0:Bytes.t ->
-  dst1:Bytes.t ->
-  unit
-(** Width-2 fused block step ({!Lw_util.Xorbuf.xor_buckets_masked2}): one
-    streamed pass over the block feeds both accumulators — the two-probe
-    keyword scan. Each bucket is traced once, like a packed pass. *)
-
-val xor_bucket_into_packed : t -> int -> pack:int -> dsts:Bytes.t array -> unit
-(** [xor_bucket_into_packed db i ~pack ~dsts] streams bucket [i] once into
-    the 1–8 accumulators of [dsts], lane [q] masked by bit [q] of [pack] —
-    the bit-packed batch scan's step. The bucket is recorded once in the
-    access trace regardless of how many lanes ride the pass. *)
-
-val set_tracing : t -> bool -> unit
-(** Enable/disable access tracing; either way the trace is reset. Tracing
-    is for the obliviousness checker — leave it off on hot paths. *)
-
-val access_trace : t -> int list
-(** Bucket indices touched by [get] / [xor_bucket_into]{[_masked]} since
-    tracing was enabled, in access order. *)
-
 val fill_random : t -> Lw_util.Det_rng.t -> unit
 (** Fill every bucket with deterministic pseudorandom bytes; used by the
     benchmarks, which only care about scan geometry, not contents. *)
 
 val occupied : t -> int
 (** Number of non-empty buckets (linear scan; for tests and stats). *)
+
+val to_store : ?block_bytes:int -> t -> Lw_store.t
+(** Seal the current contents as one epoch of a fresh epoch engine
+    ([Lw_store.create] with the default hash key, [keep = 1] so the
+    empty initial epoch is dropped at once, and [block_bytes] passed
+    through). The store shares no bytes with [t]: later writes to [t]
+    are not seen. Serve it with
+    [Server.of_snapshot (Lw_store.current st)]. *)

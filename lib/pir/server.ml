@@ -1,73 +1,27 @@
-(* A server answers over one immutable view of the database: either a
-   flat [Bucket_db] (tests, microbenchmarks, single-epoch worlds) or a
-   pinned [Lw_store] snapshot (the production path, where the database
-   keeps moving underneath and each answer must come from exactly the
-   epoch the client queried). The scan kernels are identical either way
-   — the snapshot exposes the same masked/packed/blocked XOR entry
-   points as the flat database, with the same per-bucket tracing. *)
+(* A server answers over one slice of one pinned [Lw_store] snapshot: the
+   aligned bucket range [base, base + 2^domain_bits). A whole snapshot is
+   the slice at base 0; a frontend shard and a parallel partition are the
+   same object, cut by [slice]. Every kernel call adds [base] and goes to
+   the snapshot's scan kernels, so a slice's memory trace is its range of
+   the snapshot's one walk, in global bucket indices. *)
 
-type source = Flat of Bucket_db.t | Snapshot of Lw_store.Snapshot.t
-type t = { src : source }
+type t = { snap : Lw_store.Snapshot.t; base : int; domain_bits : int }
 
-let create db = { src = Flat db }
-let of_snapshot snap = { src = Snapshot snap }
+let of_snapshot snap = { snap; base = 0; domain_bits = Lw_store.Snapshot.domain_bits snap }
 
-let db t =
-  match t.src with
-  | Flat db -> db
-  | Snapshot _ -> invalid_arg "Server.db: snapshot-backed server has no flat database"
+let slice t ~levels ~prefix =
+  if levels < 0 || levels >= t.domain_bits then invalid_arg "Server.slice: levels out of range";
+  if prefix < 0 || prefix >= 1 lsl levels then invalid_arg "Server.slice: prefix out of range";
+  let domain_bits = t.domain_bits - levels in
+  { t with base = t.base + (prefix lsl domain_bits); domain_bits }
 
-let epoch t =
-  match t.src with
-  | Flat _ -> None
-  | Snapshot s -> Some (Lw_store.Snapshot.epoch s)
-
-let domain_bits t =
-  match t.src with
-  | Flat db -> Bucket_db.domain_bits db
-  | Snapshot s -> Lw_store.Snapshot.domain_bits s
-
-let size t =
-  match t.src with
-  | Flat db -> Bucket_db.size db
-  | Snapshot s -> Lw_store.Snapshot.size s
-
-let bucket_size t =
-  match t.src with
-  | Flat db -> Bucket_db.bucket_size db
-  | Snapshot s -> Lw_store.Snapshot.bucket_size s
-
-let total_bytes t =
-  match t.src with
-  | Flat db -> Bucket_db.total_bytes db
-  | Snapshot s -> Lw_store.Snapshot.total_bytes s
-
-let xor_bucket_into_masked t i ~mask ~dst =
-  match t.src with
-  | Flat db -> Bucket_db.xor_bucket_into_masked db i ~mask ~dst
-  | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_masked s i ~mask ~dst
-
-let xor_bucket_into_packed t i ~pack ~dsts =
-  match t.src with
-  | Flat db -> Bucket_db.xor_bucket_into_packed db i ~pack ~dsts
-  | Snapshot s -> Lw_store.Snapshot.xor_bucket_into_packed s i ~pack ~dsts
-
-let xor_block_into_masked t ~base ~count ~bits ~bits_pos ~dst =
-  match t.src with
-  | Flat db -> Bucket_db.xor_block_into_masked db ~base ~count ~bits ~bits_pos ~dst
-  | Snapshot s -> Lw_store.Snapshot.xor_block_into_masked s ~base ~count ~bits ~bits_pos ~dst
-
-let xor_block_into_masked2 t ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0 ~dst1 =
-  match t.src with
-  | Flat db ->
-      Bucket_db.xor_block_into_masked2 db ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~dst0
-        ~dst1
-  | Snapshot s ->
-      Lw_store.Snapshot.xor_block_into_masked2 s ~base ~count ~bits0 ~bits0_pos ~bits1 ~bits1_pos
-        ~dst0 ~dst1
+let domain_bits t = t.domain_bits
+let size t = 1 lsl t.domain_bits
+let bucket_size t = Lw_store.Snapshot.bucket_size t.snap
+let total_bytes t = size t * bucket_size t
 
 let check_domain t k =
-  if Lw_dpf.Dpf.domain_bits k <> domain_bits t then
+  if Lw_dpf.Dpf.domain_bits k <> t.domain_bits then
     invalid_arg "Server: key domain does not match database"
 
 (* Reference two-pass path: materialise one selection byte per bucket,
@@ -93,12 +47,12 @@ let scan t bits =
   let acc = Bytes.make (bucket_size t) '\x00' in
   for i = 0 to size t - 1 do
     let mask = mask_of_bit (Char.code (Bytes.unsafe_get bits i)) in
-    xor_bucket_into_masked t i ~mask ~dst:acc
+    Lw_store.Snapshot.xor_bucket_into_masked t.snap (t.base + i) ~mask ~dst:acc
   done;
   Bytes.unsafe_to_string acc
 
 (* ------------------------------------------------------------------ *)
-(* The fused, blocked kernel — the only production scan path           *)
+(* The fused, blocked kernels — the only production scan path          *)
 (* ------------------------------------------------------------------ *)
 
 (* Cache budget for one streamed block of database: big enough to
@@ -119,18 +73,27 @@ let block_bits_for t =
 let m_answers = Lw_obs.Metrics.counter "pir.server.answers"
 let m_batches = Lw_obs.Metrics.counter "pir.server.batch_answers"
 let m_scan_bytes = Lw_obs.Metrics.counter "pir.server.scan_bytes"
+let m_parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers"
+
+(* One answering pass over [t] for [n] keys: a batch of two or more
+   counts as one batch answer and streams the data once per 8-query
+   pack. The uncounted kernels below are shared by the serial entry
+   points and by every partition of a parallel answer, which is counted
+   once, here, by its caller. *)
+let count_pass t n =
+  if n >= 2 then Lw_obs.Metrics.incr m_batches;
+  Lw_obs.Metrics.add m_answers n;
+  Lw_obs.Metrics.add m_scan_bytes ((n + 7) / 8 * total_bytes t)
 
 (* Eval↔scan fusion: each block of DPF leaf bits is XOR-consumed against
    the matching database block the moment the traversal produces it — no
    full-domain bits buffer, one pass over the data, per-block bounds
    checks instead of per-bucket ones. *)
-let answer t k =
-  check_domain t k;
+let fused t k =
   let acc = Bytes.make (bucket_size t) '\x00' in
   Lw_dpf.Dpf.eval_bits_blocked k ~block_bits:(block_bits_for t) (fun base bits count ->
-      xor_block_into_masked t ~base ~count ~bits ~bits_pos:0 ~dst:acc);
-  Lw_obs.Metrics.incr m_answers;
-  Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
+      Lw_store.Snapshot.xor_block_into_masked t.snap ~base:(t.base + base) ~count ~bits
+        ~bits_pos:0 ~dst:acc);
   Bytes.unsafe_to_string acc
 
 (* Width-2 fusion — the keyword verb's two-probe shape and every batch of
@@ -140,9 +103,7 @@ let answer t k =
    ([xor_block_into_masked2] loads each source word once). The pair costs
    two DPF evaluations plus a single memory traversal, instead of the
    generic packed kernel's per-bucket, per-lane dispatch. *)
-let answer_pair t k0 k1 =
-  check_domain t k0;
-  check_domain t k1;
+let fused_pair t k0 k1 =
   let block_bits = block_bits_for t in
   let bits1 = Bytes.create (size t) in
   Lw_dpf.Dpf.eval_bits_blocked k1 ~block_bits (fun base buf count ->
@@ -150,11 +111,8 @@ let answer_pair t k0 k1 =
   let acc0 = Bytes.make (bucket_size t) '\x00' in
   let acc1 = Bytes.make (bucket_size t) '\x00' in
   Lw_dpf.Dpf.eval_bits_blocked k0 ~block_bits (fun base bits count ->
-      xor_block_into_masked2 t ~base ~count ~bits0:bits ~bits0_pos:0 ~bits1 ~bits1_pos:base
-        ~dst0:acc0 ~dst1:acc1);
-  Lw_obs.Metrics.incr m_batches;
-  Lw_obs.Metrics.add m_answers 2;
-  Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
+      Lw_store.Snapshot.xor_block_into_masked2 t.snap ~base:(t.base + base) ~count ~bits0:bits
+        ~bits0_pos:0 ~bits1 ~bits1_pos:base ~dst0:acc0 ~dst1:acc1);
   (Bytes.unsafe_to_string acc0, Bytes.unsafe_to_string acc1)
 
 (* OR one key's selection bytes (0/1 each) into lane [bit] of the packed
@@ -180,111 +138,68 @@ let pack_lane ~bits ~count ~bit ~dst ~dst_pos =
    feeding all of the pack's accumulators from the same resident bytes.
    A batch therefore costs one DB traversal (plus register-masked XOR
    work per lane) instead of [n] re-entries of the scalar scan. *)
-let answer_batch t keys =
-  Array.iter (check_domain t) keys;
+let packed t keys =
   let n = Array.length keys in
-  if n = 0 then [||]
-  else if n = 1 then [| answer t keys.(0) |]
-  else if n = 2 then begin
-    let a0, a1 = answer_pair t keys.(0) keys.(1) in
-    [| a0; a1 |]
-  end
-  else begin
-    let size = size t in
-    let bucket = bucket_size t in
-    let n_packs = (n + 7) / 8 in
-    (* pack p's byte for bucket i carries query [8p+q]'s bit at bit q *)
-    let packed = Array.init n_packs (fun _ -> Bytes.make size '\x00') in
-    let block_bits = block_bits_for t in
-    Array.iteri
-      (fun q k ->
-        let dst = packed.(q lsr 3) and bit = q land 7 in
-        Lw_dpf.Dpf.eval_bits_blocked k ~block_bits (fun base bits count ->
-            pack_lane ~bits ~count ~bit ~dst ~dst_pos:base))
-      keys;
-    let accs = Array.init n (fun _ -> Bytes.make bucket '\x00') in
-    let lanes = Array.init n_packs (fun p -> Array.sub accs (8 * p) (min 8 (n - (8 * p)))) in
-    let block = max 1 (block_bytes / bucket) in
-    let base = ref 0 in
-    while !base < size do
-      let stop = min size (!base + block) in
-      for p = 0 to n_packs - 1 do
-        let bits = packed.(p) and dsts = lanes.(p) in
-        for i = !base to stop - 1 do
-          xor_bucket_into_packed t i ~pack:(Char.code (Bytes.unsafe_get bits i)) ~dsts
-        done
-      done;
-      base := stop
+  let size = size t in
+  let bucket = bucket_size t in
+  let n_packs = (n + 7) / 8 in
+  (* pack p's byte for bucket i carries query [8p+q]'s bit at bit q *)
+  let packed = Array.init n_packs (fun _ -> Bytes.make size '\x00') in
+  let block_bits = block_bits_for t in
+  Array.iteri
+    (fun q k ->
+      let dst = packed.(q lsr 3) and bit = q land 7 in
+      Lw_dpf.Dpf.eval_bits_blocked k ~block_bits (fun base bits count ->
+          pack_lane ~bits ~count ~bit ~dst ~dst_pos:base))
+    keys;
+  let accs = Array.init n (fun _ -> Bytes.make bucket '\x00') in
+  let lanes = Array.init n_packs (fun p -> Array.sub accs (8 * p) (min 8 (n - (8 * p)))) in
+  let block = max 1 (block_bytes / bucket) in
+  let base = ref 0 in
+  while !base < size do
+    let stop = min size (!base + block) in
+    for p = 0 to n_packs - 1 do
+      let bits = packed.(p) and dsts = lanes.(p) in
+      for i = !base to stop - 1 do
+        Lw_store.Snapshot.xor_bucket_into_packed t.snap (t.base + i)
+          ~pack:(Char.code (Bytes.unsafe_get bits i)) ~dsts
+      done
     done;
-    Lw_obs.Metrics.incr m_batches;
-    Lw_obs.Metrics.add m_answers n;
-    (* the batch streams the database once per pack, not once per query *)
-    Lw_obs.Metrics.add m_scan_bytes (n_packs * total_bytes t);
-    Array.map Bytes.unsafe_to_string accs
-  end
+    base := stop
+  done;
+  Array.map Bytes.unsafe_to_string accs
 
-(* ------------------------------------------------------------------ *)
-(* Domain-partitioned parallel scan                                    *)
-(* ------------------------------------------------------------------ *)
+(* Width dispatch, in one place: one key rides the fused kernel, two the
+   width-2 kernel, more the bit-packed one. *)
+let serial_batch t keys =
+  match Array.length keys with
+  | 0 -> [||]
+  | 1 -> [| fused t keys.(0) |]
+  | 2 ->
+      let a0, a1 = fused_pair t keys.(0) keys.(1) in
+      [| a0; a1 |]
+  | _ -> packed t keys
 
-(* The bucket domain splits into 2^levels aligned sub-ranges; each worker
-   rebases the client key at its sub-range's internal tree node
-   ([Dpf.make_subkey] via [Distributed.split]) and runs the *same* fused
-   kernel over the remaining bits, so no worker pays the full-domain DPF
-   evaluation and the per-partition memory trace is the partition's full
-   contiguous walk — the leakage profile of the serial scan, cut into
-   aligned pieces (see SECURITY.md). *)
-
-(* Below this a parallel answer is all spawn/join overhead: the fused
-   serial kernel finishes a 1 MiB scan in well under a millisecond. *)
-let parallel_cutoff_bytes = 1 lsl 20
-
-let m_parallel = Lw_obs.Metrics.counter "pir.server.parallel_answers"
-
-(* Smallest power-of-two partition count >= [requested], clamped so the
-   split stays a strict prefix of the key's tree ([levels < domain_bits]). *)
-let partition_levels t requested =
-  let d = domain_bits t in
-  let rec up l = if 1 lsl l >= requested then l else up (l + 1) in
-  min (d - 1) (max 1 (up 0))
-
-(* XOR partition [prefix]'s contribution into [acc]. [sub] is the key
-   rebased at the partition's root; its domain is the bottom [rem] bits. *)
-let scan_partition t ~sub ~prefix ~rem ~acc =
-  let base = prefix lsl rem in
-  Lw_dpf.Dpf.eval_bits_blocked sub
-    ~block_bits:(min rem (block_bits_for t))
-    (fun b bits count -> xor_block_into_masked t ~base:(base + b) ~count ~bits ~bits_pos:0 ~dst:acc)
-
-(* Serial schedule over the exact per-partition kernels the parallel path
-   runs: the deterministic twin [Trace_check.check_partitioned_scan]
-   drives, and the per-partition timer the bench uses to report the
-   critical path (max partition time) a multi-core machine would pay. *)
-let answer_partitioned_timed ?(partitions = 2) t k =
+let answer t k =
   check_domain t k;
-  let levels = partition_levels t partitions in
-  let subs = Lw_dpf.Distributed.split k ~shard_bits:levels in
-  let rem = domain_bits t - levels in
-  let acc = Bytes.make (bucket_size t) '\x00' in
-  let clock = Lw_obs.Span.clock () in
-  let times =
-    Array.mapi
-      (fun prefix sub ->
-        let t0 = Lw_obs.Clock.now clock in
-        scan_partition t ~sub ~prefix ~rem ~acc;
-        Lw_obs.Clock.now clock -. t0)
-      subs
-  in
-  Lw_obs.Metrics.incr m_answers;
-  Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
-  (Bytes.unsafe_to_string acc, times)
+  let share = fused t k in
+  count_pass t 1;
+  share
 
-let answer_partitioned ?partitions t k = fst (answer_partitioned_timed ?partitions t k)
+let answer_pair t k0 k1 =
+  check_domain t k0;
+  check_domain t k1;
+  let shares = fused_pair t k0 k1 in
+  count_pass t 2;
+  shares
 
+(* ------------------------------------------------------------------ *)
+(* The one Domain-parallel path                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Join every domain before acting on any failure, so a raising task can
+   neither leak the other domains nor let a partial result escape. *)
 let join_all_reraise doms =
-  (* Join every domain before acting on any failure, so a raising worker
-     can neither leak the other domains nor let a partially-reduced
-     accumulator escape. *)
   let first_failure =
     List.fold_left
       (fun acc d ->
@@ -295,122 +210,102 @@ let join_all_reraise doms =
   in
   match first_failure with Some e -> raise e | None -> ()
 
-let worker_count domains =
-  match domains with Some n -> max 1 n | None -> Domain.recommended_domain_count ()
-
-let answer_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t k =
-  check_domain t k;
-  let workers = worker_count domains in
-  if workers <= 1 || domain_bits t < 2 || total_bytes t < cutoff_bytes then answer t k
+let parallel_init ~domains n f =
+  if domains <= 1 || n <= 1 then Array.init n f
   else begin
-    let levels = partition_levels t workers in
-    let subs = Lw_dpf.Distributed.split k ~shard_bits:levels in
-    let parts = Array.length subs in
-    let rem = domain_bits t - levels in
-    let nw = min workers parts in
-    let accs = Array.init nw (fun _ -> Bytes.make (bucket_size t) '\x00') in
+    let results = Array.make n None in
     let next = Atomic.make 0 in
-    (* Workers claim partitions through [Atomic.fetch_and_add] and worker
-       [w] only ever writes its own [accs.(w)]; the joins below give this
-       domain the happens-before edge back before the XOR reduce. *)
-    (* lw-lint: allow race lines=11 *)
-    let worker w () =
-      let acc = accs.(w) in
+    (* Workers claim task indices through [Atomic.fetch_and_add], so each
+       [results] slot is written by exactly one worker; the joins give
+       this domain the happens-before edge back before the reads below. *)
+    (* lw-lint: allow race lines=9 *)
+    let worker () =
       let rec go () =
-        let prefix = Atomic.fetch_and_add next 1 in
-        if prefix < parts then begin
-          scan_partition t ~sub:subs.(prefix) ~prefix ~rem ~acc;
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- Some (f i);
           go ()
         end
       in
       go ()
     in
-    join_all_reraise (List.init nw (fun w -> Domain.spawn (worker w)));
-    let out = accs.(0) in
-    for w = 1 to nw - 1 do
-      Lw_util.Xorbuf.xor_into ~src:accs.(w) ~src_pos:0 ~dst:out ~dst_pos:0 ~len:(bucket_size t)
-    done;
-    Lw_obs.Metrics.incr m_answers;
-    Lw_obs.Metrics.incr m_parallel;
-    Lw_obs.Metrics.add m_scan_bytes (total_bytes t);
-    Bytes.unsafe_to_string out
+    join_all_reraise (List.init (min domains n) (fun _ -> Domain.spawn worker));
+    (* every index was claimed once and no worker raised *)
+    Array.map Option.get results
   end
 
-(* One partition of the bit-packed batch kernel: [subs] are the batch's
-   keys rebased at this partition, [lane_accs] groups the caller's
-   accumulators into packs of <= 8, [bits] is a reusable partition-sized
-   scratch of packed selection bytes. *)
-let scan_partition_packed t ~subs ~lane_accs ~prefix ~rem ~bits =
-  let part = 1 lsl rem in
-  let base = prefix lsl rem in
-  let n = Array.length subs in
-  let n_packs = (n + 7) / 8 in
-  for p = 0 to n_packs - 1 do
-    Bytes.fill bits 0 part '\x00';
-    let lane_lo = 8 * p in
-    let lanes = min 8 (n - lane_lo) in
-    for q = 0 to lanes - 1 do
-      Lw_dpf.Dpf.eval_bits_blocked subs.(lane_lo + q)
-        ~block_bits:(min rem (block_bits_for t))
-        (fun b buf count -> pack_lane ~bits:buf ~count ~bit:q ~dst:bits ~dst_pos:b)
-    done;
-    let dsts = lane_accs.(p) in
-    for j = 0 to part - 1 do
-      xor_bucket_into_packed t (base + j) ~pack:(Char.code (Bytes.unsafe_get bits j)) ~dsts
-    done
-  done
+(* Below this a parallel answer is all spawn/join overhead: the fused
+   serial kernel finishes a 1 MiB scan in well under a millisecond. *)
+let parallel_cutoff_bytes = 1 lsl 20
 
-let answer_batch_domains ?(cutoff_bytes = parallel_cutoff_bytes) ?domains t keys =
+(* Smallest power-of-two partition count >= [requested], clamped so the
+   split stays a strict prefix of the key's tree ([levels < domain_bits]). *)
+let partition_levels t requested =
+  let d = domain_bits t in
+  let rec up l = if 1 lsl l >= requested then l else up (l + 1) in
+  min (d - 1) (max 1 (up 0))
+
+let xor_reduce t shares =
+  let acc = Bytes.make (bucket_size t) '\x00' in
+  Array.iter
+    (fun s ->
+      Lw_util.Xorbuf.xor_string_into ~src:s ~src_pos:0 ~dst:acc ~dst_pos:0 ~len:(bucket_size t))
+    shares;
+  Bytes.unsafe_to_string acc
+
+(* The domain splits into 2^levels aligned slices. Every key is rebased
+   once per slice at the slice's internal tree node ([Distributed.split]),
+   each slice runs the serial width dispatch on its own, and the
+   per-slice shares XOR-reduce to exactly the serial answer. Every slice
+   is still walked in full with mask-selected XORs, so the union of the
+   per-worker traces is the serial scan's trace — parallelism changes who
+   touches a bucket, never whether. *)
+let parallel_batch t keys ~domains =
+  let levels = partition_levels t domains in
+  let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:levels) keys in
+  let parts =
+    parallel_init ~domains (1 lsl levels) (fun prefix ->
+        serial_batch (slice t ~levels ~prefix) (Array.map (fun s -> s.(prefix)) subs))
+  in
+  Array.mapi (fun q _ -> xor_reduce t (Array.map (fun shares -> shares.(q)) parts)) keys
+
+let answer_batch ?(cutoff_bytes = parallel_cutoff_bytes) ?(domains = 1) t keys =
   Array.iter (check_domain t) keys;
   let n = Array.length keys in
-  let workers = worker_count domains in
-  if n = 0 then [||]
-  else if workers <= 1 || domain_bits t < 2 || total_bytes t < cutoff_bytes then
-    answer_batch t keys
-  else if n = 1 then [| answer_domains ~cutoff_bytes ?domains t keys.(0) |]
-  else begin
-    let levels = partition_levels t workers in
-    let rem = domain_bits t - levels in
-    let parts = 1 lsl levels in
-    let subs = Array.map (fun k -> Lw_dpf.Distributed.split k ~shard_bits:levels) keys in
-    let by_part = Array.init parts (fun p -> Array.map (fun s -> s.(p)) subs) in
-    let nw = min workers parts in
-    let bucket = bucket_size t in
-    let n_packs = (n + 7) / 8 in
-    let accs = Array.init nw (fun _ -> Array.init n (fun _ -> Bytes.make bucket '\x00')) in
-    let lane_groups =
-      Array.init nw (fun w ->
-          Array.init n_packs (fun p -> Array.sub accs.(w) (8 * p) (min 8 (n - (8 * p)))))
-    in
-    let next = Atomic.make 0 in
-    (* Same discipline as [answer_domains]: claimed partitions, per-worker
-       accumulators, join-then-reduce. *)
-    (* lw-lint: allow race lines=12 *)
-    let worker w () =
-      let bits = Bytes.create (1 lsl rem) in
-      let lane_accs = lane_groups.(w) in
-      let rec go () =
-        let prefix = Atomic.fetch_and_add next 1 in
-        if prefix < parts then begin
-          scan_partition_packed t ~subs:by_part.(prefix) ~lane_accs ~prefix ~rem ~bits;
-          go ()
-        end
-      in
-      go ()
-    in
-    join_all_reraise (List.init nw (fun w -> Domain.spawn (worker w)));
-    let out = accs.(0) in
-    for w = 1 to nw - 1 do
-      for q = 0 to n - 1 do
-        Lw_util.Xorbuf.xor_into ~src:accs.(w).(q) ~src_pos:0 ~dst:out.(q) ~dst_pos:0 ~len:bucket
-      done
-    done;
-    Lw_obs.Metrics.incr m_batches;
-    Lw_obs.Metrics.incr m_parallel;
-    Lw_obs.Metrics.add m_answers n;
-    Lw_obs.Metrics.add m_scan_bytes (n_packs * total_bytes t);
-    Array.map Bytes.unsafe_to_string out
-  end
+  let shares =
+    if n = 0 || domains <= 1 || domain_bits t < 2 || total_bytes t < cutoff_bytes then
+      serial_batch t keys
+    else begin
+      Lw_obs.Metrics.incr m_parallel;
+      parallel_batch t keys ~domains
+    end
+  in
+  count_pass t n;
+  shares
+
+(* Serial schedule over the same slices the parallel path cuts: the
+   deterministic twin [Trace_check.check_partitioned_scan] drives, and the
+   per-slice timer the bench uses to report the critical path (max slice
+   time) a multi-core machine would pay. *)
+let answer_partitioned_timed ?(partitions = 2) t k =
+  check_domain t k;
+  let levels = partition_levels t partitions in
+  let subs = Lw_dpf.Distributed.split k ~shard_bits:levels in
+  let clock = Lw_obs.Span.clock () in
+  let times = Array.make (Array.length subs) 0. in
+  let shares =
+    Array.mapi
+      (fun prefix sub ->
+        let t0 = Lw_obs.Clock.now clock in
+        let share = fused (slice t ~levels ~prefix) sub in
+        times.(prefix) <- Lw_obs.Clock.now clock -. t0;
+        share)
+      subs
+  in
+  count_pass t 1;
+  (xor_reduce t shares, times)
+
+let answer_partitioned ?partitions t k = fst (answer_partitioned_timed ?partitions t k)
 
 let answer_serialized t key_bytes =
   match Lw_dpf.Dpf.deserialize key_bytes with

@@ -2,6 +2,14 @@
     linear data scan (the two cost components the paper's §5.1
     microbenchmark separates: 64 ms DPF evaluation + 103 ms scan per GiB).
 
+    A server is a {e slice} of one pinned {!Lw_store.Snapshot}: the
+    aligned bucket range whose top bits equal a prefix. {!of_snapshot}
+    serves the whole snapshot; {!slice} cuts a sub-range, and a frontend
+    shard ([Lightweb.Zltp_frontend]) and a partition of a parallel answer
+    are the same object. Slices are views: they copy nothing, and every
+    kernel reads the snapshot's bytes (and feeds its access trace) in
+    global bucket indices.
+
     The production path is the fused, blocked kernel: {!answer} consumes
     DPF leaf bits block-by-block against the matching database block as
     the traversal produces them, and {!answer_batch} packs up to 8
@@ -15,20 +23,18 @@
 
 type t
 
-val create : Bucket_db.t -> t
-(** Serve a flat mutable database — tests, microbenchmarks, and worlds
-    that never change epoch. *)
-
 val of_snapshot : Lw_store.Snapshot.t -> t
-(** Serve one pinned epoch of the versioned engine — the production
-    path. The caller owns the pin: keep the snapshot pinned for as long
-    as the server answers from it. *)
+(** Serve one pinned epoch of the versioned engine. The caller owns the
+    pin: keep the snapshot pinned for as long as the server answers from
+    it. *)
 
-val db : t -> Bucket_db.t
-(** Raises [Invalid_argument] on a snapshot-backed server. *)
-
-val epoch : t -> int option
-(** The served epoch; [None] for a flat (unversioned) server. *)
+val slice : t -> levels:int -> prefix:int -> t
+(** [slice t ~levels ~prefix] serves the [prefix]-th of the [2^levels]
+    aligned sub-ranges of [t]: a server of [domain_bits t - levels] bits
+    over the same snapshot. Keys for it are the client key rebased at that
+    sub-range's tree node ([Lw_dpf.Distributed.split ~shard_bits:levels]).
+    Raises [Invalid_argument] unless [0 <= levels < domain_bits t] and
+    [0 <= prefix < 2^levels]. *)
 
 val domain_bits : t -> int
 val size : t -> int
@@ -54,53 +60,45 @@ val answer_pair : t -> Lw_dpf.Dpf.key -> Lw_dpf.Dpf.key -> string * string
     evaluations, a single memory traversal, each source word loaded once
     and masked into both accumulators. *)
 
-val answer_batch : t -> Lw_dpf.Dpf.key array -> string array
-(** All responses from one streamed pass over the data, selection bits
-    bit-packed 8 queries to the byte; a partial final pack (batch size
-    not a multiple of 8) runs the same kernel on fewer lanes. A batch of
-    exactly two rides {!answer_pair}. *)
-
-(** {2 Domain-partitioned parallel scan}
-
-    The bucket domain splits into [2^levels] aligned sub-ranges; each
-    worker rebases the client key at its sub-range's internal tree node
-    ({!Lw_dpf.Dpf.make_subkey}) and runs the same fused kernel over the
-    remaining bits, so no worker pays a full-domain DPF evaluation. The
-    partial accumulators XOR-reduce to exactly the serial answer. Every
-    partition is still walked in full with mask-selected XORs, so the
-    union of the per-worker memory traces is the serial scan's trace —
-    parallelism changes who touches a bucket, never whether. *)
-
 val parallel_cutoff_bytes : int
-(** Default work-size cutoff (1 MiB): below this the [_domains] entry
-    points fall back to the serial fused kernel, since a parallel answer
-    would be all spawn/join overhead. *)
+(** Default work-size cutoff (1 MiB) of {!answer_batch}: below this a
+    parallel answer would be all spawn/join overhead. *)
 
-val answer_domains : ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key -> string
-(** {!answer} computed by [domains] workers (default
-    [Domain.recommended_domain_count ()]) on OCaml domains, each scanning
-    claimed partitions into its own accumulator; byte-identical to
-    {!answer}. Falls back to the serial kernel when [domains <= 1] or the
-    database is smaller than [cutoff_bytes] (tests pass [~cutoff_bytes:0]
-    to force the parallel path on small databases). All domains are
-    joined before any worker failure is re-raised. *)
-
-val answer_batch_domains :
+val answer_batch :
   ?cutoff_bytes:int -> ?domains:int -> t -> Lw_dpf.Dpf.key array -> string array
-(** {!answer_batch} (bit-packed lanes) with the partition-claiming worker
-    scheme of {!answer_domains}; byte-identical to {!answer_batch}. *)
+(** All responses for a batch; [answer_batch t [|k|]] is [[|answer t k|]]
+    and a batch of two rides {!answer_pair}. Wider batches take one
+    streamed pass over the data per 8 queries, selection bits bit-packed
+    8 queries to the byte (a partial final pack runs the same kernel on
+    fewer lanes).
+
+    With [domains > 1] (default 1) and at least [cutoff_bytes] (default
+    {!parallel_cutoff_bytes}) of data, the domain splits into the
+    smallest power-of-two count [>= domains] of slices; every key is
+    rebased once per slice, each slice runs the serial batch above on a
+    worker ({!parallel_init}), and the per-slice shares XOR-reduce —
+    byte-identical to the serial answer. Tests pass [~cutoff_bytes:0] to
+    force the parallel path on small databases. *)
+
+val parallel_init : domains:int -> int -> (int -> 'a) -> 'a array
+(** [parallel_init ~domains n f] is [Array.init n f] with the calls run
+    by [min domains n] OCaml domains claiming indices from an atomic
+    counter — the one Domain-parallel loop of the PIR path. All domains
+    are joined before the first failure (in join order) is re-raised, so
+    a raising task leaks no domain and no partial array. With
+    [domains <= 1] it is [Array.init]. *)
 
 val answer_partitioned : ?partitions:int -> t -> Lw_dpf.Dpf.key -> string
-(** The partitioned kernels on a serial schedule (ascending partition
-    order, no domains): the deterministic twin of {!answer_domains} that
-    the obliviousness trace checker drives. [partitions] (default 2)
-    rounds up to a power of two, clamped below the domain size. *)
+(** The slices of the parallel path on a serial schedule (ascending
+    prefix order, no domains): the deterministic twin the obliviousness
+    trace checker drives. [partitions] (default 2) rounds up to a power
+    of two, clamped below the domain size. *)
 
 val answer_partitioned_timed : ?partitions:int -> t -> Lw_dpf.Dpf.key -> string * float array
-(** {!answer_partitioned} plus per-partition elapsed seconds (span
-    clock). [max times] is the critical path an idle [partitions]-core
-    machine would pay for the parallel answer — what bench E24 reports as
-    the achievable speedup independent of this machine's core count. *)
+(** {!answer_partitioned} plus per-slice elapsed seconds (span clock).
+    [max times] is the critical path an idle [partitions]-core machine
+    would pay for the parallel answer — what bench E24 reports as the
+    achievable speedup independent of this machine's core count. *)
 
 val answer_serialized : t -> string -> (string, string) result
 (** Wire-level entry point: deserialises the key, validates the domain,

@@ -23,7 +23,7 @@ type params = {
   load_fractions : float list; (* offered load as fraction of capacity *)
   batch_window_s : float option; (* None: one calibrated batch service *)
   page_exponent : float;
-  scan_domains : int; (* per-shard Server.answer_domains knob *)
+  scan_domains : int; (* per-shard Server.answer_batch ~domains knob *)
   tree_fanout_bits : int option; (* fan-out tree for single-key answers *)
   key_pool : int; (* distinct pre-generated queries, cycled *)
   burst_k : int; (* 1 = independent visits; >1 = correlated search bursts *)
@@ -256,7 +256,9 @@ let run ?(progress = fun (_ : string) -> ()) p =
   (* the fleet: a real sharded front-end over a randomized database *)
   let db = Lw_pir.Bucket_db.create ~domain_bits:p.domain_bits ~bucket_size:p.bucket_size in
   Lw_pir.Bucket_db.fill_random db rng;
-  let fe = Lightweb.Zltp_frontend.of_db db ~shard_bits:p.shard_bits in
+  let fe =
+    Lightweb.Zltp_frontend.of_store (Lw_pir.Bucket_db.to_store db) ~shard_bits:p.shard_bits
+  in
   Lightweb.Zltp_frontend.set_scan_domains fe p.scan_domains;
   let shards = Lightweb.Zltp_frontend.shard_count fe in
   let db_bytes = (1 lsl p.domain_bits) * p.bucket_size in
@@ -267,17 +269,10 @@ let run ?(progress = fun (_ : string) -> ()) p =
     Array.map (fun alpha -> Lw_dpf.Dpf.gen ~domain_bits:p.domain_bits ~alpha drbg) indices
   in
   let keys = Array.map fst pairs in
-  (* The taint pragmas below acknowledge the same interprocedural
-     over-approximation [test_analysis] pins down for the frontend entry
-     points: a DPF key flowing into [answer]/[answer_batch] "feeds a
-     branch" only because those route on PUBLIC config (scan_domains,
-     tree fan-out) — and this driver is a measurement harness holding
-     both parties' keys by design. *)
   (* correctness spot-check: both parties' shares must XOR to the bucket,
      through the full sharded (and possibly parallel/tree) stack *)
   let check_at i =
     let k0, k1 = pairs.(i) in
-    (* lw-lint: allow taint lines=3 *)
     let share0 = Lightweb.Zltp_frontend.answer fe k0 in
     let share1 = Lightweb.Zltp_frontend.answer fe k1 in
     let got = Lw_util.Xorbuf.xor share0 share1 in
@@ -290,7 +285,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let calib_batch n =
     Array.init n (fun j -> keys.(j mod Array.length keys))
   in
-  (* lw-lint: allow taint lines=3 *)
   let batch_times =
     Array.init (max 1 p.calib_batches) (fun _ ->
         snd (time clock (fun () -> Lightweb.Zltp_frontend.answer_batch fe (calib_batch p.batch_size))))
@@ -299,7 +293,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let service_batch_mean_s = bstats.Lw_util.Stats.mean in
   let single_batch_s =
     let ts =
-      (* lw-lint: allow taint lines=2 *)
       Array.init (max 1 p.calib_batches) (fun _ ->
           snd (time clock (fun () -> Lightweb.Zltp_frontend.answer_batch fe (calib_batch 1))))
     in
@@ -319,13 +312,11 @@ let run ?(progress = fun (_ : string) -> ()) p =
        (service_batch_mean_s *. 1e3) capacity_rps);
   (* single-query latency, flat vs tree fan-out *)
   let probe = keys.(0) in
-  (* lw-lint: allow taint lines=1 *)
   let direct_single_s = median3 clock (fun () -> ignore (Lightweb.Zltp_frontend.answer fe probe)) in
   Lightweb.Zltp_frontend.set_tree_fanout fe p.tree_fanout_bits;
   let tree_single_s =
     match p.tree_fanout_bits with
     | None -> direct_single_s
-    (* lw-lint: allow taint lines=1 *)
     | Some _ -> median3 clock (fun () -> ignore (Lightweb.Zltp_frontend.answer fe probe))
   in
   let tree_depth = Lightweb.Zltp_frontend.tree_depth fe in
@@ -337,7 +328,6 @@ let run ?(progress = fun (_ : string) -> ()) p =
       (fun fraction ->
         let lambda = Float.max 1e-6 (fraction *. capacity_rps) in
         progress (Printf.sprintf "load %.2f: %.1f req/s offered" fraction lambda);
-        (* lw-lint: allow taint lines=3 *)
         let pt, _horizon =
           run_point ~clock ~fe ~keys ~batch_size:p.batch_size ~window_s ~lambda
             ~queries:p.queries_per_point rng
@@ -391,7 +381,7 @@ let run ?(progress = fun (_ : string) -> ()) p =
   let shard0 =
     let sdb = Lw_pir.Bucket_db.create ~domain_bits:rem ~bucket_size:p.bucket_size in
     Lw_pir.Bucket_db.fill_random sdb rng;
-    Lw_pir.Server.create sdb
+    Lw_pir.Server.of_snapshot (Lw_store.current (Lw_pir.Bucket_db.to_store sdb))
   in
   let bits, dpf_seconds = time clock (fun () -> Lw_pir.Server.eval_bits shard0 sk) in
   let _, scan_seconds = time clock (fun () -> Lw_pir.Server.scan shard0 bits) in
@@ -419,9 +409,10 @@ let run ?(progress = fun (_ : string) -> ()) p =
      seeds the three-way cost table's Single column. *)
   let spir_bits = min rem Lw_pir.Spir.max_domain_bits in
   let spir_snap =
+    (* a keyword hash key is 16 bytes whatever the seed's length *)
     let st =
       Lw_store.create
-        ~hash_key:(p.seed ^ "-spir")
+        ~hash_key:(String.sub (Lw_crypto.Sha256.digest (p.seed ^ "-spir")) 0 16)
         ~block_bytes:(8 * p.bucket_size) ~domain_bits:spir_bits ~bucket_size:p.bucket_size ()
     in
     let w = Lw_store.writer st in

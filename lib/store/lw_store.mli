@@ -105,7 +105,11 @@ val unpin : t -> snapshot -> unit
 val writer : t -> writer
 (** Open a copy-on-write mutation batch against the current epoch. *)
 
-(** {2 Tracing} (obliviousness-checker hook, mirrors [Bucket_db]) *)
+(** {2 Tracing} (the obliviousness checker's hook)
+
+    Every scan kernel records each bucket it streams, in order, with
+    global bucket indices — so the trace of a [Lw_pir.Server] slice is
+    the slice's range of the store's one walk. *)
 
 val set_tracing : t -> bool -> unit
 val access_trace : t -> int list
@@ -133,13 +137,17 @@ module Snapshot : sig
   val is_empty : t -> int -> bool
   val occupied : t -> int
 
-  (** Scan kernels, mirroring [Bucket_db]: every bucket the kernel
-      streams is traced individually, so the obliviousness checker sees
-      the same per-bucket sequence over a snapshot as over a flat
-      database. *)
+  (** The scan kernels — the only ones in the repository; every PIR
+      answer reads through them. Every bucket a kernel streams is traced
+      individually. *)
 
   val xor_bucket_into_masked : t -> int -> mask:int -> dst:Bytes.t -> unit
+  (** XOR bucket [i], each byte ANDed with [mask land 0xff], into [dst]
+      — the reference scan's step. A zero mask still reads the bucket. *)
+
   val xor_bucket_into_packed : t -> int -> pack:int -> dsts:Bytes.t array -> unit
+  (** Stream bucket [i] once into the 1–8 accumulators of [dsts], lane
+      [q] masked by bit [q] of [pack] — the bit-packed batch step. *)
 
   val xor_block_into_masked :
     t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
@@ -167,8 +175,8 @@ module Snapshot : sig
   val diff_ranges : t -> t -> (int * int) list
   (** [diff_ranges a b] is the [(base, count)] bucket ranges (ascending,
       coalesced) where the two epochs' block pointers differ — the exact
-      set of buckets an incremental consumer (sharded-frontend refresh,
-      replica push) must re-copy. Physical comparison, so it is correct
+      set of buckets an incremental consumer (a cluster replica push) must
+      re-copy. Physical comparison, so it is correct
       across any number of intervening epochs. Raises [Invalid_argument]
       if the snapshots belong to different stores. *)
 end

@@ -372,6 +372,26 @@ let test_taint_through_helper () =
   Alcotest.(check int) "declassified length clean" 0
     (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" declass))
 
+let test_taint_labelled_args () =
+  (* call-site arguments bind parameters by label, not by position: the
+     secret passed as [~c] reaches the branch on [c]... *)
+  let dirty =
+    "(* lw-lint: secret key *)\n\
+     let choose ?(n = 0) ~c a = if c then a else n\n\
+     let use key = choose ~c:key 1\n"
+  in
+  Alcotest.(check bool) "labelled secret caught" true
+    (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" dirty) >= 1);
+  (* ...and a secret in a data position after an omitted optional
+     argument does not bind the optional's (branching) slot *)
+  let clean =
+    "(* lw-lint: secret key *)\n\
+     let pick ?(lim = 0) c a = if c > lim then a else a\n\
+     let use key = pick 1 key\n"
+  in
+  Alcotest.(check int) "data position after optional clean" 0
+    (count_rule "taint" (findings_for ~path:"lib/core/fixture.ml" clean))
+
 let test_taint_dpf_source_to_index () =
   (* a DPF key is secret by construction: using it to index a table
      leaks the query; no pragma needed *)
@@ -752,6 +772,8 @@ let test_trace_partitioned_scan () =
     (Trace_check.check_partitioned_scan ~domain_bits:7 ~bucket_size:48
        ~partition_counts:[ 3; 5; 16 ] ~alphas:[ 0; 64; 127 ] ())
 
+let test_trace_sharded_scan () = check_ok "sharded" (Trace_check.check_sharded_scan ())
+
 let test_trace_check_all () = check_ok "check_all" (Trace_check.check_all ())
 
 let test_trace_scan_really_answers () =
@@ -760,7 +782,7 @@ let test_trace_scan_really_answers () =
   let domain_bits = 6 and bucket_size = 32 in
   let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
   Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "answer-check");
-  let server = Lw_pir.Server.create db in
+  let server = Lw_pir.Server.of_snapshot (Lw_store.current (Lw_pir.Bucket_db.to_store db)) in
   let rng = Lw_crypto.Drbg.create ~seed:"answer-check" in
   List.iter
     (fun alpha ->
@@ -803,6 +825,7 @@ let () =
       ( "analyses",
         [
           Alcotest.test_case "taint through helper" `Quick test_taint_through_helper;
+          Alcotest.test_case "taint labelled args" `Quick test_taint_labelled_args;
           Alcotest.test_case "taint from SPIR secret source" `Quick
             test_taint_spir_secret_source;
           Alcotest.test_case "taint from DPF source" `Quick
@@ -835,6 +858,7 @@ let () =
           Alcotest.test_case "SPIR scan traces" `Quick test_trace_spir_scan;
           Alcotest.test_case "partitioned scan traces" `Quick
             test_trace_partitioned_scan;
+          Alcotest.test_case "sharded scan traces" `Quick test_trace_sharded_scan;
           Alcotest.test_case "retry wire shape" `Quick test_trace_retry;
           Alcotest.test_case "check_all" `Quick test_trace_check_all;
           Alcotest.test_case "masked scan answers" `Quick test_trace_scan_really_answers;

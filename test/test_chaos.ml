@@ -18,14 +18,17 @@ let bucket_size = 32
 let shard_bits = 2
 let n_buckets = 1 lsl domain_bits
 
-(* every replica serves a copy of the same seeded database, and the tests
-   know the expected plaintext of every bucket *)
+(* every replica serves the same seeded database, and the tests know the
+   expected plaintext of every bucket *)
 let reference_db =
   let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
   Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "chaos-db");
   db
 
 let expected idx = Lw_pir.Bucket_db.get reference_db idx
+
+(* sealed once; every replica's frontend shards the same snapshot *)
+let reference_store = Lw_pir.Bucket_db.to_store reference_db
 
 (* quick policy: same shape as production, but with backoffs sized so even
    a retry-heavy run spends only simulated milliseconds *)
@@ -49,7 +52,7 @@ let make_world ?(replicas_per_role = 2) ~sched () =
   let frontends =
     Array.init 2 (fun _ ->
         Array.init replicas_per_role (fun _ ->
-            Zltp_frontend.of_db reference_db ~shard_bits))
+            Zltp_frontend.of_store reference_store ~shard_bits))
   in
   let servers =
     Array.map

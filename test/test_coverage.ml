@@ -7,6 +7,7 @@ module Json = Lw_json.Json
 
 let rng () = Lw_crypto.Drbg.create ~seed:"coverage"
 let det = Lw_util.Det_rng.of_string_seed
+let server_of db = Lw_pir.Server.of_snapshot (Lw_store.current (Lw_pir.Bucket_db.to_store db))
 
 (* ---------------- lw_util leftovers ---------------- *)
 
@@ -67,7 +68,7 @@ let test_aead_short_input () =
 let test_batch_delivery_order () =
   let db = Lw_pir.Bucket_db.create ~domain_bits:5 ~bucket_size:32 in
   Lw_pir.Bucket_db.fill_random db (det "order");
-  let b = Zltp_batch.create ~batch_size:3 (Lw_pir.Server.create db) in
+  let b = Zltp_batch.create ~batch_size:3 (server_of db) in
   let order = ref [] in
   for i = 0 to 2 do
     let k, _ = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:i (rng ()) in
@@ -77,7 +78,7 @@ let test_batch_delivery_order () =
 
 let test_batch_flush_empty_noop () =
   let db = Lw_pir.Bucket_db.create ~domain_bits:4 ~bucket_size:16 in
-  let b = Zltp_batch.create (Lw_pir.Server.create db) in
+  let b = Zltp_batch.create (server_of db) in
   Zltp_batch.flush b;
   Alcotest.(check int) "no batch ran" 0 (Zltp_batch.batches_executed b)
 

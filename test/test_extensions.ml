@@ -7,6 +7,7 @@ module Json = Lw_json.Json
 
 let rng () = Lw_crypto.Drbg.create ~seed:"extensions"
 let det = Lw_util.Det_rng.of_string_seed
+let server_of db = Lw_pir.Server.of_snapshot (Lw_store.current (Lw_pir.Bucket_db.to_store db))
 
 (* ---------------- Bitvec_pir ---------------- *)
 
@@ -17,7 +18,7 @@ let test_bitvec_correctness () =
     Alcotest.(check string)
       (Printf.sprintf "bucket %d" index)
       (Lw_pir.Bucket_db.get db index)
-      (Lw_pir.Bitvec_pir.fetch db ~index (rng ()))
+      (Lw_pir.Bitvec_pir.fetch (server_of db) ~index (rng ()))
   done
 
 let test_bitvec_query_shape () =
@@ -405,7 +406,8 @@ let prop_bitvec_correct =
       let index = i mod (1 lsl d) in
       let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size:32 in
       Lw_pir.Bucket_db.fill_random db (det (string_of_int (d + i)));
-      String.equal (Lw_pir.Bucket_db.get db index) (Lw_pir.Bitvec_pir.fetch db ~index (rng ())))
+      String.equal (Lw_pir.Bucket_db.get db index)
+        (Lw_pir.Bitvec_pir.fetch (server_of db) ~index (rng ())))
 
 let prop_paginate_roundtrip =
   QCheck.Test.make ~name:"paginate split/reassemble" ~count:40

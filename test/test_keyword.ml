@@ -203,7 +203,7 @@ let test_answer_pair_matches_scalar () =
   (* 33-byte buckets: the width-2 kernel's word loop leaves a byte tail *)
   let db = Bucket_db.create ~domain_bits:5 ~bucket_size:33 in
   Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "pair-kernel");
-  let s = Server.create db in
+  let s = Server.of_snapshot (Lw_store.current (Bucket_db.to_store db)) in
   let drbg = Lw_crypto.Drbg.create ~seed:"pair-keys" in
   let k0a, k1a = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:3 drbg in
   let k0b, k1b = Lw_dpf.Dpf.gen ~domain_bits:5 ~alpha:17 drbg in

@@ -395,12 +395,19 @@ let test_zltp_over_tcp () =
 
 (* ---------------- Zltp_frontend (sharding) ---------------- *)
 
+(* A random table sealed as a one-epoch store: what the frontend shards
+   and what the unsharded reference server reads. *)
+let random_store ~domain_bits ~bucket_size seed =
+  let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size in
+  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed seed);
+  Lw_pir.Bucket_db.to_store db
+
+let whole_server st = Lw_pir.Server.of_snapshot (Lw_store.current st)
+
 let test_frontend_matches_flat () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  let det = Lw_util.Det_rng.of_string_seed "frontend" in
-  Lw_pir.Bucket_db.fill_random db det;
-  let flat = Lw_pir.Server.create db in
-  let fe = Zltp_frontend.of_db db ~shard_bits:3 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "frontend" in
+  let flat = whole_server st in
+  let fe = Zltp_frontend.of_store st ~shard_bits:3 in
   Alcotest.(check int) "shards" 8 (Zltp_frontend.shard_count fe);
   for alpha = 0 to 20 do
     let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:(alpha * 11 mod 256) (rng ()) in
@@ -410,22 +417,30 @@ let test_frontend_matches_flat () =
   done
 
 let test_frontend_bucket_routing () =
-  let fe = Zltp_frontend.create ~domain_bits:6 ~shard_bits:2 ~bucket_size:32 in
-  Zltp_frontend.set_bucket fe 0 "first";
-  Zltp_frontend.set_bucket fe 63 "last";
+  let db = Lw_pir.Bucket_db.create ~domain_bits:6 ~bucket_size:32 in
+  Lw_pir.Bucket_db.set db 0 "first";
+  Lw_pir.Bucket_db.set db 63 "last";
+  let fe = Zltp_frontend.of_store (Lw_pir.Bucket_db.to_store db) ~shard_bits:2 in
   Alcotest.(check string) "read 0" "first" (String.sub (Zltp_frontend.get_bucket fe 0) 0 5);
-  Alcotest.(check string) "read 63" "last" (String.sub (Zltp_frontend.get_bucket fe 63) 0 4)
+  Alcotest.(check string) "read 63" "last" (String.sub (Zltp_frontend.get_bucket fe 63) 0 4);
+  Alcotest.check_raises "out of domain" (Invalid_argument "Zltp_frontend: index out of domain")
+    (fun () -> ignore (Zltp_frontend.get_bucket fe 64))
 
+(* The frontend's shards and the parallel answer's partitions are the
+   same slices: a 4-shard frontend and a 3-domain parallel answer (which
+   rounds up to 4 slices) over the same snapshot agree. *)
 let test_frontend_parallel_matches () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "par");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "par" in
+  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:77 (rng ()) in
   Alcotest.(check string) "parallel = sequential" (Zltp_frontend.answer fe k0)
-    (Zltp_frontend.answer_parallel ~num_domains:3 fe k0)
+    (Lw_pir.Server.answer_batch ~cutoff_bytes:0 ~domains:3 (whole_server st) [| k0 |]).(0)
+
+let empty_frontend ~domain_bits ~shard_bits =
+  Zltp_frontend.of_store (Lw_store.create ~domain_bits ~bucket_size:32 ()) ~shard_bits
 
 let test_frontend_timings () =
-  let fe = Zltp_frontend.create ~domain_bits:8 ~shard_bits:2 ~bucket_size:32 in
+  let fe = empty_frontend ~domain_bits:8 ~shard_bits:2 in
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:3 (rng ()) in
   let _, timings = Zltp_frontend.answer_timed fe k0 in
   Alcotest.(check int) "per-shard timings" 4 (List.length timings);
@@ -436,7 +451,7 @@ let test_frontend_timings () =
     timings
 
 let test_frontend_tree_shape () =
-  let fe = Zltp_frontend.create ~domain_bits:8 ~shard_bits:6 ~bucket_size:32 in
+  let fe = empty_frontend ~domain_bits:8 ~shard_bits:6 in
   Alcotest.(check (option int)) "no tree by default" None (Zltp_frontend.tree_fanout fe);
   Zltp_frontend.set_tree_fanout fe (Some 2);
   Alcotest.(check (option int)) "fanout set" (Some 2) (Zltp_frontend.tree_fanout fe);
@@ -456,9 +471,8 @@ let test_frontend_tree_refusal () =
   (* degraded-shard refusal must survive the tree: the down-shard check
      runs before any tree walk, so a tree-routed [answer_result] refuses
      exactly like the flat path *)
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "tree-refusal");
-  let fe = Zltp_frontend.of_db db ~shard_bits:4 in
+  let st = random_store ~domain_bits:8 ~bucket_size:64 "tree-refusal" in
+  let fe = Zltp_frontend.of_store st ~shard_bits:4 in
   Zltp_frontend.set_tree_fanout fe (Some 2);
   let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:200 (rng ()) in
   (match Zltp_frontend.answer_result fe k0 with
@@ -495,11 +509,10 @@ let prop_tree_matches_serial =
     tree_geometry
     (fun (shard_bits, fanout_bits, domains, alphas) ->
       let domain_bits = 8 in
-      let db = Lw_pir.Bucket_db.create ~domain_bits ~bucket_size:48 in
-      Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "tree-prop");
-      let flat = Lw_pir.Server.create db in
-      let plain_fe = Zltp_frontend.of_db db ~shard_bits in
-      let tree_fe = Zltp_frontend.of_db db ~shard_bits in
+      let st = random_store ~domain_bits ~bucket_size:48 "tree-prop" in
+      let flat = whole_server st in
+      let plain_fe = Zltp_frontend.of_store st ~shard_bits in
+      let tree_fe = Zltp_frontend.of_store st ~shard_bits in
       Zltp_frontend.set_scan_domains tree_fe domains;
       Zltp_frontend.set_tree_fanout tree_fe (Some fanout_bits);
       List.for_all
@@ -516,9 +529,7 @@ let prop_tree_matches_serial =
 (* ---------------- Zltp_batch ---------------- *)
 
 let test_batch_scheduler () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:6 ~bucket_size:32 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "batch");
-  let server = Lw_pir.Server.create db in
+  let server = whole_server (random_store ~domain_bits:6 ~bucket_size:32 "batch") in
   let b = Zltp_batch.create ~batch_size:4 server in
   let results = Array.make 6 "" in
   for i = 0 to 5 do

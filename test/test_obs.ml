@@ -1,8 +1,8 @@
 (* The observability layer: histogram quantile accuracy, counter
    exactness under domain concurrency, span nesting on virtual clocks,
    the exporters, and the telemetry-adjacent bugfixes that shipped with
-   lw_obs (Pacer drops/pairing, answer_parallel failure handling,
-   Query_stats.combine validation). *)
+   lw_obs (Pacer drops/pairing, failure handling of the one parallel
+   pool, Query_stats.combine validation). *)
 
 open Lightweb
 
@@ -135,20 +135,40 @@ let test_counter_exact_under_domains () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no lost increments" (4 * per_domain) (Lw_obs.Metrics.counter_value c)
 
-let test_counter_exact_under_answer_parallel () =
+(* A 4-shard frontend over a random 2^8 x 64 B store, plus the same four
+   shard slices and a key's sub-keys, for driving shard answers through
+   [Server.parallel_init] directly. *)
+let shard_fixture seed alpha =
   let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-par");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:42 (rng ()) in
+  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed seed);
+  let st = Lw_pir.Bucket_db.to_store db in
+  let whole = Lw_pir.Server.of_snapshot (Lw_store.current st) in
+  let slices = Array.init 4 (fun i -> Lw_pir.Server.slice whole ~levels:2 ~prefix:i) in
+  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha (rng ()) in
+  let subs = Lw_dpf.Distributed.split k0 ~shard_bits:2 in
+  let shard_answer i = Lw_pir.Server.answer slices.(i) subs.(i) in
+  (Zltp_frontend.of_store st ~shard_bits:2, whole, k0, shard_answer)
+
+let xor_all shares = Array.fold_left Lw_util.Xorbuf.xor (String.make 64 '\000') shares
+
+let test_counter_exact_in_parallel () =
+  let _, whole, k0, shard_answer = shard_fixture "obs-par" 42 in
   let c = Lw_obs.Metrics.counter "pir.server.answers" in
   let before = Lw_obs.Metrics.counter_value c in
   let calls = 10 in
   for _ = 1 to calls do
-    ignore (Zltp_frontend.answer_parallel ~num_domains:4 fe k0)
+    ignore (Lw_pir.Server.parallel_init ~domains:4 4 shard_answer)
   done;
   (* every call answers each of the 4 shards exactly once, from
      concurrent domains *)
   Alcotest.(check int) "pir.server.answers exact" (calls * 4)
+    (Lw_obs.Metrics.counter_value c - before);
+  (* a parallel batch counts its keys once, not once per slice *)
+  let before = Lw_obs.Metrics.counter_value c in
+  for _ = 1 to calls do
+    ignore (Lw_pir.Server.answer_batch ~cutoff_bytes:0 ~domains:4 whole [| k0; k0; k0 |])
+  done;
+  Alcotest.(check int) "parallel batch counted once" (calls * 3)
     (Lw_obs.Metrics.counter_value c - before)
 
 (* ---------------- Span tracing on a virtual clock ---------------- *)
@@ -220,46 +240,43 @@ let test_exporters () =
     (has "test_obs_export_hist{quantile=\"0.5\"}");
   Alcotest.(check bool) "prom count line" true (has "test_obs_export_hist_count 1")
 
-(* ---------------- answer_parallel: failure handling ---------------- *)
+(* ---------------- the parallel pool: failure handling ---------------- *)
 
 exception Rigged of int
 
 let test_parallel_rigged_shard_raises () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-rig");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:9 (rng ()) in
+  let fe, _, k0, shard_answer = shard_fixture "obs-rig" 9 in
   let expected = Zltp_frontend.answer fe k0 in
+  let finished = Atomic.make 0 in
+  let answer ?(rig = -1) () =
+    xor_all
+      (Lw_pir.Server.parallel_init ~domains:3 4 (fun i ->
+           if i = rig then raise (Rigged i);
+           let share = shard_answer i in
+           Atomic.incr finished;
+           share))
+  in
   (* a shard rigged to raise must surface the exception, not a partial
-     XOR *)
-  (match
-     Zltp_frontend.answer_parallel ~num_domains:3
-       ~fault:(fun i -> if i = 1 then raise (Rigged i))
-       fe k0
-   with
+     XOR, and only after every other shard's worker has finished *)
+  (match answer ~rig:1 () with
   | (_ : string) -> Alcotest.fail "rigged shard did not raise"
-  | exception Rigged 1 -> ()
+  | exception Rigged 1 -> Alcotest.(check int) "all domains joined first" 3 (Atomic.get finished)
   | exception e -> Alcotest.fail ("unexpected exception: " ^ Printexc.to_string e));
-  (* all domains were joined: the frontend stays fully usable and
-     correct afterwards, repeatedly *)
+  (* all domains were joined: the pool stays fully usable and correct
+     afterwards, repeatedly *)
   for _ = 1 to 3 do
-    Alcotest.(check string) "subsequent parallel answer correct" expected
-      (Zltp_frontend.answer_parallel ~num_domains:3 fe k0)
+    Alcotest.(check string) "subsequent parallel answer correct" expected (answer ())
   done
 
+(* The slices a parallel answer cuts are the frontend's shards: timed
+   one by one on the serial schedule, they give one span per shard and
+   the frontend's share. *)
 let test_parallel_timed_spans () =
-  let db = Lw_pir.Bucket_db.create ~domain_bits:8 ~bucket_size:64 in
-  Lw_pir.Bucket_db.fill_random db (Lw_util.Det_rng.of_string_seed "obs-spans");
-  let fe = Zltp_frontend.of_db db ~shard_bits:2 in
-  let k0, _ = Lw_dpf.Dpf.gen ~domain_bits:8 ~alpha:5 (rng ()) in
-  let share, spans = Zltp_frontend.answer_parallel_timed ~num_domains:2 fe k0 in
-  Alcotest.(check string) "share matches sequential" (Zltp_frontend.answer fe k0) share;
+  let fe, whole, k0, _ = shard_fixture "obs-spans" 5 in
+  let share, spans = Lw_pir.Server.answer_partitioned_timed ~partitions:4 whole k0 in
+  Alcotest.(check string) "share matches the frontend" (Zltp_frontend.answer fe k0) share;
   Alcotest.(check int) "one span per shard" 4 (Array.length spans);
-  Array.iteri
-    (fun i s ->
-      Alcotest.(check int) "span shard id" i s.Zltp_frontend.span_shard;
-      Alcotest.(check bool) "span non-negative" true (s.Zltp_frontend.elapsed_s >= 0.))
-    spans
+  Array.iter (fun s -> Alcotest.(check bool) "span non-negative" true (s >= 0.)) spans
 
 (* ---------------- Query_stats.combine validation ---------------- *)
 
@@ -342,8 +359,7 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_metric_kind_mismatch;
           Alcotest.test_case "disabled recording" `Quick test_disabled_recording;
           Alcotest.test_case "counters exact under domains" `Quick test_counter_exact_under_domains;
-          Alcotest.test_case "counters exact under answer_parallel" `Quick
-            test_counter_exact_under_answer_parallel;
+          Alcotest.test_case "counters exact in parallel" `Quick test_counter_exact_in_parallel;
         ] );
       ( "spans",
         [

@@ -3,6 +3,12 @@ open Lw_pir
 let rng () = Lw_crypto.Drbg.create ~seed:"pir-tests"
 let det = Lw_util.Det_rng.of_string_seed
 
+(* Seal [db] as a one-epoch store whose CoW blocks hold [block] buckets
+   (default: as many as fit the default block budget) and serve it. *)
+let server_of ?block db =
+  let block_bytes = Option.map (fun b -> b * Bucket_db.bucket_size db) block in
+  Server.of_snapshot (Lw_store.current (Bucket_db.to_store ?block_bytes db))
+
 (* ---------------- Bucket_db ---------------- *)
 
 let test_db_basic () =
@@ -28,14 +34,28 @@ let test_db_validation () =
   Alcotest.check_raises "bad domain" (Invalid_argument "Bucket_db.create: domain_bits out of range")
     (fun () -> ignore (Bucket_db.create ~domain_bits:0 ~bucket_size:8))
 
+(* The XOR a scan computes over sealed buckets: selecting buckets 1 and
+   2 of a two-bit table through the reference masked scan. *)
 let test_db_xor_into () =
   let db = Bucket_db.create ~domain_bits:2 ~bucket_size:4 in
   Bucket_db.set db 1 "\x0f\x0f\x0f\x0f";
   Bucket_db.set db 2 "\xf0\x00\x00\x00";
-  let acc = Bytes.make 4 '\x00' in
-  Bucket_db.xor_bucket_into db 1 ~dst:acc;
-  Bucket_db.xor_bucket_into db 2 ~dst:acc;
-  Alcotest.(check string) "xor" "\xff\x0f\x0f\x0f" (Bytes.to_string acc)
+  let server = server_of db in
+  let bits = Bytes.of_string "\000\001\001\000" in
+  Alcotest.(check string) "xor" "\xff\x0f\x0f\x0f" (Server.scan server bits)
+
+let test_db_to_store () =
+  let db = Bucket_db.create ~domain_bits:5 ~bucket_size:16 in
+  Bucket_db.set db 3 "three";
+  Bucket_db.set db 30 "thirty";
+  let st = Bucket_db.to_store ~block_bytes:(4 * 16) db in
+  Bucket_db.set db 4 "after";
+  let snap = Lw_store.current st in
+  Alcotest.(check (list int)) "one live epoch" [ 1 ] (Lw_store.live_epochs st);
+  Alcotest.(check int) "eight blocks" 8 (Lw_store.n_blocks st);
+  Alcotest.(check int) "occupied" 2 (Lw_store.Snapshot.occupied snap);
+  Alcotest.(check string) "bucket 30" (Bucket_db.get db 30) (Lw_store.Snapshot.get snap 30);
+  Alcotest.(check bool) "later writes unseen" true (Lw_store.Snapshot.is_empty snap 4)
 
 (* ---------------- Record ---------------- *)
 
@@ -300,7 +320,7 @@ let test_pir_cuckoo_end_to_end () =
   for i = 0 to n - 1 do
     ignore (Cuckoo.insert c ~key:(Printf.sprintf "k%d" i) ~value:(Printf.sprintf "v%d" i))
   done;
-  let server = Server.create (Cuckoo.db c) in
+  let server = server_of (Cuckoo.db c) in
   let ok = ref 0 in
   for i = 0 to n - 1 do
     let key = Printf.sprintf "k%d" i in
@@ -319,6 +339,32 @@ let test_pir_cuckoo_end_to_end () =
         Alcotest.fail (Printf.sprintf "lost %s" key)
   done;
   Alcotest.(check bool) "vast majority retrievable via 2 probes" true (!ok >= n - Cuckoo.stash_size c)
+
+(* A slice answers its rebased sub-keys over its own range only: the
+   parties' quarter shares XOR to the target bucket in the quarter that
+   holds it and to zero elsewhere, and slicing composes. *)
+let test_server_slice () =
+  let db = Bucket_db.create ~domain_bits:6 ~bucket_size:16 in
+  Bucket_db.fill_random db (det "slice");
+  let server = server_of ~block:4 db in
+  let k0, k1 = Lw_dpf.Dpf.gen ~domain_bits:6 ~alpha:37 (rng ()) in
+  let s0 = Lw_dpf.Distributed.split k0 ~shard_bits:2 in
+  let s1 = Lw_dpf.Distributed.split k1 ~shard_bits:2 in
+  for q = 0 to 3 do
+    let quarter = Server.slice server ~levels:2 ~prefix:q in
+    Alcotest.(check int) "quarter domain" 4 (Server.domain_bits quarter);
+    let got = Lw_util.Xorbuf.xor (Server.answer quarter s0.(q)) (Server.answer quarter s1.(q)) in
+    let want = if q = 2 then Bucket_db.get db 37 else String.make 16 '\000' in
+    Alcotest.(check string) (Printf.sprintf "quarter %d" q) want got
+  done;
+  let nested = Server.slice (Server.slice server ~levels:1 ~prefix:1) ~levels:1 ~prefix:0 in
+  Alcotest.(check string) "slices compose"
+    (Server.answer (Server.slice server ~levels:2 ~prefix:2) s0.(2))
+    (Server.answer nested s0.(2));
+  Alcotest.check_raises "levels" (Invalid_argument "Server.slice: levels out of range")
+    (fun () -> ignore (Server.slice server ~levels:6 ~prefix:0));
+  Alcotest.check_raises "prefix" (Invalid_argument "Server.slice: prefix out of range")
+    (fun () -> ignore (Server.slice server ~levels:2 ~prefix:4))
 
 (* ---------------- privacy ---------------- *)
 
@@ -390,7 +436,8 @@ let prop_cuckoo_find_after_inserts =
    [Server.answer_batch] must agree byte-for-byte with the two-pass
    reference ([eval_bits] + [scan]) on arbitrary geometry — domain sizes
    that don't divide the scan block, bucket sizes that aren't word
-   multiples, batch widths across the 8-lane pack boundary. *)
+   multiples, batch widths across the 8-lane pack boundary — over stores
+   cut into 8-bucket CoW blocks, so scan blocks cross block edges. *)
 
 let scan_geometry =
   QCheck.make
@@ -410,7 +457,7 @@ let prop_fused_matches_reference =
     (fun (domain_bits, bucket_size, alphas) ->
       let db = Bucket_db.create ~domain_bits ~bucket_size in
       Bucket_db.fill_random db (det "fused-prop");
-      let server = Server.create db in
+      let server = server_of ~block:8 db in
       let drbg = rng () in
       List.for_all
         (fun alpha ->
@@ -425,7 +472,7 @@ let prop_batch_matches_naive =
     (fun (domain_bits, bucket_size, alphas) ->
       let db = Bucket_db.create ~domain_bits ~bucket_size in
       Bucket_db.fill_random db (det "batch-prop");
-      let server = Server.create db in
+      let server = server_of ~block:8 db in
       let drbg = rng () in
       let keys =
         Array.of_list
@@ -446,9 +493,9 @@ let prop_batch_matches_naive =
    core count, worker counts exceeding the partition count, and
    geometries the cutoff would normally veto ([~cutoff_bytes:0] forces
    the parallel path even on tiny databases). [answer_partitioned] is
-   the deterministic serial twin of the same partition kernels, so it
-   rides the same property. Domain >= 2 bits: below that there is
-   nothing to partition and the entry points fall back to serial. *)
+   the deterministic serial twin over the same slices, so it rides the
+   same property. Domain >= 2 bits: below that there is nothing to
+   partition and [answer_batch] stays serial. *)
 
 let parallel_geometry =
   QCheck.make
@@ -468,7 +515,7 @@ let prop_domains_matches_serial =
     (fun (domain_bits, bucket_size, nd, alphas) ->
       let db = Bucket_db.create ~domain_bits ~bucket_size in
       Bucket_db.fill_random db (det "domains-prop");
-      let server = Server.create db in
+      let server = server_of ~block:8 db in
       let drbg = rng () in
       List.for_all
         (fun alpha ->
@@ -477,7 +524,7 @@ let prop_domains_matches_serial =
             (fun k ->
               let serial = Server.answer server k in
               String.equal serial
-                (Server.answer_domains ~cutoff_bytes:0 ~domains:nd server k)
+                (Server.answer_batch ~cutoff_bytes:0 ~domains:nd server [| k |]).(0)
               && String.equal serial (Server.answer_partitioned ~partitions:nd server k))
             [ k0; k1 ])
         alphas)
@@ -488,7 +535,7 @@ let prop_batch_domains_matches_batch =
     (fun (domain_bits, bucket_size, nd, alphas) ->
       let db = Bucket_db.create ~domain_bits ~bucket_size in
       Bucket_db.fill_random db (det "batch-domains-prop");
-      let server = Server.create db in
+      let server = server_of ~block:8 db in
       let drbg = rng () in
       let keys =
         Array.of_list
@@ -499,7 +546,7 @@ let prop_batch_domains_matches_batch =
              alphas)
       in
       let serial = Server.answer_batch server keys in
-      let parallel = Server.answer_batch_domains ~cutoff_bytes:0 ~domains:nd server keys in
+      let parallel = Server.answer_batch ~cutoff_bytes:0 ~domains:nd server keys in
       Array.length parallel = Array.length serial
       && Array.for_all2 String.equal parallel serial)
 
@@ -523,6 +570,7 @@ let () =
           Alcotest.test_case "basic" `Quick test_db_basic;
           Alcotest.test_case "validation" `Quick test_db_validation;
           Alcotest.test_case "xor into" `Quick test_db_xor_into;
+          Alcotest.test_case "to_store" `Quick test_db_to_store;
         ] );
       ( "record",
         [
@@ -557,6 +605,7 @@ let () =
           Alcotest.test_case "uniform response size" `Quick test_pir_server_response_uniform_size;
           Alcotest.test_case "serialized entry point" `Quick test_pir_serialized_entry_point;
           Alcotest.test_case "cuckoo end-to-end" `Quick test_pir_cuckoo_end_to_end;
+          Alcotest.test_case "server slices" `Quick test_server_slice;
         ] );
       ( "privacy-baselines",
         [

@@ -439,6 +439,15 @@ let prop_estimate_monotone_in_data =
       let a = mk (min g1 g2) and b = mk (max g1 g2) in
       a.Cost_model.request_cost_usd <= b.Cost_model.request_cost_usd +. 1e-12)
 
+(* The fleet simulator under a seed whose SPIR probe key is not 16 bytes
+   by length alone ("fleet-sim-spir" is 14): the probe derives its store
+   key instead of passing the seed through. *)
+let test_fleet_sim_any_seed () =
+  let r = Fleet_sim.run { Fleet_sim.smoke with seed = "fleet-sim" } in
+  Alcotest.(check int) "shards" 16 r.Fleet_sim.shards;
+  Alcotest.(check int) "points" 2 (List.length r.Fleet_sim.points);
+  Alcotest.(check bool) "SPIR probe timed" true (r.Fleet_sim.spir_answer_s > 0.)
+
 let props =
   List.map QCheck_alcotest.to_alcotest [ prop_zipf_in_range; prop_estimate_monotone_in_data ]
 
@@ -484,6 +493,7 @@ let () =
           Alcotest.test_case "high load fills batches" `Quick test_queue_high_load_fills_batches;
           Alcotest.test_case "overload saturates" `Quick test_queue_overload_saturates;
           Alcotest.test_case "latency monotone" `Quick test_queue_latency_monotone_in_load;
+          Alcotest.test_case "fleet sim, any seed" `Quick test_fleet_sim_any_seed;
         ] );
       ( "latency-model",
         [

@@ -405,6 +405,38 @@ let test_frontend_epoch_refusal () =
       Alcotest.(check string) "epoch-2 share" (answer_of (Store.current st) k0) share
   | Error e -> Alcotest.fail e
 
+(* Each shard pins the epoch it serves. A straggler left behind by an
+   aborted refresh keeps its epoch live after the epoch ages out of the
+   keep window (the shard still reads its bytes); the next refresh moves
+   the shard on, releases the pin, and the epoch retires. *)
+let test_frontend_pin_lifetime () =
+  let domain_bits = 6 and bucket_size = 32 in
+  let st = Store.create ~keep:2 ~block_bytes:128 ~domain_bits ~bucket_size () in
+  let seal tag =
+    let w = Store.writer st in
+    Writer.set w 11 tag;
+    Writer.set w 49 tag;
+    ignore (Writer.seal w)
+  in
+  seal "e1";
+  let fe = Zltp_frontend.of_store st ~shard_bits:2 in
+  seal "e2";
+  Alcotest.(check int) "aborted after one shard" 1 (Zltp_frontend.refresh ~abort_after:1 fe);
+  seal "e3";
+  Alcotest.(check (list int)) "straggler pins epoch 1 past keep" [ 1; 2; 3 ]
+    (Store.live_epochs st);
+  (* bucket 49 sits in shard 3, still at epoch 1 *)
+  Alcotest.(check string) "straggler reads epoch 1" "e1"
+    (String.sub (Zltp_frontend.get_bucket fe 49) 0 2);
+  Alcotest.(check int) "all shards moved" 4 (Zltp_frontend.refresh fe);
+  Alcotest.(check (list int)) "epoch 1 retired" [ 2; 3 ] (Store.live_epochs st);
+  Alcotest.(check (option int)) "agreed at epoch 3" (Some 3) (Zltp_frontend.epoch_agreed fe);
+  seal "e4";
+  seal "e5";
+  Alcotest.(check (list int)) "frontend pins epoch 3" [ 3; 4; 5 ] (Store.live_epochs st);
+  ignore (Zltp_frontend.refresh fe);
+  Alcotest.(check (list int)) "released on refresh" [ 4; 5 ] (Store.live_epochs st)
+
 (* ---------------- client page-visit pinning ---------------- *)
 
 let visit_domain_bits = 6
@@ -498,7 +530,10 @@ let () =
           Alcotest.test_case "malformed documents" `Quick test_universe_malformed;
         ] );
       ( "frontend",
-        [ Alcotest.test_case "epoch-mismatch refusal" `Quick test_frontend_epoch_refusal ] );
+        [
+          Alcotest.test_case "epoch-mismatch refusal" `Quick test_frontend_epoch_refusal;
+          Alcotest.test_case "shard pin lifetime" `Quick test_frontend_pin_lifetime;
+        ] );
       ( "client",
         [
           Alcotest.test_case "visit pins an epoch" `Quick test_client_visit_pins_epoch;
