@@ -880,7 +880,8 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
     | Some g -> g
     | None -> if fast then (10, 1024, 3) else (12, 8192, 5)
   in
-  let widths = [ 1; 4; 8; 16 ] in
+  (* width 2 is the pair kernel, 5 a pack padded with three scratch lanes *)
+  let widths = [ 1; 2; 4; 5; 8; 16 ] in
   let db = Lw_pir.Bucket_db.create ~domain_bits:d ~bucket_size in
   Lw_pir.Bucket_db.fill_random db (det "e19");
   let server = server_of_db db in
@@ -892,9 +893,31 @@ let e19_scan_kernels ?(write_json = true) ?geometry () =
         if i land 1 = 0 then k0 else k1)
   in
   let db_mb = float_of_int (Lw_pir.Bucket_db.total_bytes db) /. 1048576. in
-  let two_pass k = ignore (Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k)) in
+  let reference k = Lw_pir.Server.scan server (Lw_pir.Server.eval_bits server k) in
+  let two_pass k = ignore (reference k) in
   row "geometry: 2^%d buckets x %d B = %.0f MiB, best of %d interleaved reps\n\n" d
     bucket_size db_mb reps;
+  (* E19 checks what it times: every production share must equal the
+     two-pass reference share, so a wrong kernel fails the run (and the
+     @bench-smoke gate), not just its timing *)
+  let want = Array.map reference keys in
+  let check label shares =
+    Array.iteri
+      (fun q share ->
+        (* the harness holds both DPF shares by design, as in E24 *)
+        (* lw-lint: allow taint lines=2 *)
+        if not (String.equal share want.(q)) then
+          failwith
+            (Printf.sprintf "E19: %s share %d of %d differs from the two-pass reference" label q
+               (Array.length shares)))
+      shares
+  in
+  check "answer" (Array.map (Lw_pir.Server.answer server) keys);
+  List.iter
+    (fun w ->
+      check (Printf.sprintf "width-%d answer_batch" w)
+        (Lw_pir.Server.answer_batch server (Array.sub keys 0 w)))
+    widths;
 
   (* single query: two-pass reference vs fused one-pass *)
   let t = best_interleaved reps [| (fun () -> two_pass keys.(0));

@@ -101,8 +101,8 @@ let fused t k =
    full-domain buffer (blit, no per-leaf closure), then key 0's blocked
    traversal drives ONE pass over the data feeding both accumulators
    ([xor_block_into_masked2] loads each source word once). The pair costs
-   two DPF evaluations plus a single memory traversal, instead of the
-   generic packed kernel's per-bucket, per-lane dispatch. *)
+   two DPF evaluations plus a single memory traversal, without the 8-lane
+   packed kernel's six idle scratch lanes. *)
 let fused_pair t k0 k1 =
   let block_bits = block_bits_for t in
   let bits1 = Bytes.create (size t) in
@@ -135,8 +135,11 @@ let pack_lane ~bits ~count ~bit ~dst ~dst_pos =
 
 (* Bit-packed batching: up to 8 queries' selection bits share one byte
    per bucket, and the scan streams each database block once per pack,
-   feeding all of the pack's accumulators from the same resident bytes.
-   A batch therefore costs one DB traversal (plus register-masked XOR
+   feeding the pack's 8 accumulators from the same resident bytes
+   through the 8-lane block kernel. A pack of fewer than 8 queries fills
+   its spare lanes with one scratch accumulator whose pack bits are
+   zero, so every width runs the same straight-line kernel. A batch
+   therefore costs one DB traversal per pack (plus register-masked XOR
    work per lane) instead of [n] re-entries of the scalar scan. *)
 let packed t keys =
   let n = Array.length keys in
@@ -153,19 +156,21 @@ let packed t keys =
           pack_lane ~bits ~count ~bit ~dst ~dst_pos:base))
     keys;
   let accs = Array.init n (fun _ -> Bytes.make bucket '\x00') in
-  let lanes = Array.init n_packs (fun p -> Array.sub accs (8 * p) (min 8 (n - (8 * p)))) in
+  let lanes =
+    Array.init n_packs (fun p ->
+        let live = min 8 (n - (8 * p)) in
+        let pad = if live < 8 then Bytes.make bucket '\x00' else Bytes.empty in
+        Array.init 8 (fun q -> if q < live then accs.((8 * p) + q) else pad))
+  in
   let block = max 1 (block_bytes / bucket) in
   let base = ref 0 in
   while !base < size do
-    let stop = min size (!base + block) in
+    let count = min block (size - !base) in
     for p = 0 to n_packs - 1 do
-      let bits = packed.(p) and dsts = lanes.(p) in
-      for i = !base to stop - 1 do
-        Lw_store.Snapshot.xor_bucket_into_packed t.snap (t.base + i)
-          ~pack:(Char.code (Bytes.unsafe_get bits i)) ~dsts
-      done
+      Lw_store.Snapshot.xor_block_into_packed t.snap ~base:(t.base + !base) ~count
+        ~packs:packed.(p) ~packs_pos:!base ~dsts:lanes.(p)
     done;
-    base := stop
+    base := !base + count
   done;
   Array.map Bytes.unsafe_to_string accs
 

@@ -14,7 +14,9 @@
     DPF leaf bits block-by-block against the matching database block as
     the traversal produces them, and {!answer_batch} packs up to 8
     queries' selection bits into one byte per bucket so a batch pays one
-    streamed pass over the data ({!Lw_util.Xorbuf.xor_into_packed}).
+    streamed pass over the data per 8-query pack
+    ({!Lw_util.Xorbuf.xor_buckets_packed}; a narrower pack pads its spare
+    lanes with a zero-bit scratch accumulator).
 
     {!eval_bits} and {!scan} remain the seed's two-pass reference
     implementation: benchmarks (E1, E19) time its phases separately and

@@ -195,19 +195,12 @@ module Snapshot = struct
     Lw_util.Xorbuf.xor_into_masked ~mask ~src:s.blocks.(b)
       ~src_pos:(local * s.store.bucket_size) ~dst ~dst_pos:0 ~len:s.store.bucket_size
 
-  let xor_bucket_into_packed s i ~pack ~dsts =
-    check_index s i;
-    record s i;
-    let b, local = locate s i in
-    Lw_util.Xorbuf.xor_into_packed ~pack ~src:s.blocks.(b)
-      ~src_pos:(local * s.store.bucket_size) ~dsts ~dst_pos:0 ~len:s.store.bucket_size
-
-  (* Fused-scan block entries: the requested [base, base+count) run may
-     span several CoW blocks. [iter_runs] splits it into per-block runs
-     and hands each to [f] as [off run src src_pos] ([off] is the run's
+  (* Block scan entries: the requested [base, base+count) run may span
+     several CoW blocks. [iter_runs] splits it into per-block runs and
+     hands each to [f] as [off run src src_pos] ([off] is the run's
      offset into the caller's selection bytes). Tracing stays
      bucket-granular, so the obliviousness checker observes the same
-     per-bucket sequence as the scalar kernels produce. *)
+     per-bucket sequence as the scalar reference kernel produces. *)
   let iter_runs s ~base ~count f =
     if count < 0 || base < 0 || base > size s - count then
       invalid_arg "Lw_store.Snapshot: block out of range";
@@ -235,6 +228,11 @@ module Snapshot = struct
         Lw_util.Xorbuf.xor_buckets_masked2 ~bits0 ~bits0_pos:(bits0_pos + off) ~bits1
           ~bits1_pos:(bits1_pos + off) ~count:run ~src ~src_pos ~bucket:s.store.bucket_size ~dst0
           ~dst1)
+
+  let xor_block_into_packed s ~base ~count ~packs ~packs_pos ~dsts =
+    iter_runs s ~base ~count (fun off run src src_pos ->
+        Lw_util.Xorbuf.xor_buckets_packed ~packs ~packs_pos:(packs_pos + off) ~count:run ~src
+          ~src_pos ~bucket:s.store.bucket_size ~dsts)
 
   let set_tracing s on = set_tracing s.store on
   let access_trace s = access_trace s.store

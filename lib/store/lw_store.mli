@@ -145,10 +145,6 @@ module Snapshot : sig
   (** XOR bucket [i], each byte ANDed with [mask land 0xff], into [dst]
       — the reference scan's step. A zero mask still reads the bucket. *)
 
-  val xor_bucket_into_packed : t -> int -> pack:int -> dsts:Bytes.t array -> unit
-  (** Stream bucket [i] once into the 1–8 accumulators of [dsts], lane
-      [q] masked by bit [q] of [pack] — the bit-packed batch step. *)
-
   val xor_block_into_masked :
     t -> base:int -> count:int -> bits:Bytes.t -> bits_pos:int -> dst:Bytes.t -> unit
   (** Fused-scan block entry; the run may span CoW block boundaries and
@@ -168,6 +164,20 @@ module Snapshot : sig
   (** Width-2 fused block entry (the two-probe keyword scan): one pass
       over the run feeds both accumulators; spans CoW blocks like
       {!xor_block_into_masked}. Each bucket is traced once. *)
+
+  val xor_block_into_packed :
+    t ->
+    base:int ->
+    count:int ->
+    packs:Bytes.t ->
+    packs_pos:int ->
+    dsts:Bytes.t array ->
+    unit
+  (** Batch block entry: bucket [base + j] is XORed into the 8
+      accumulators of [dsts], lane [q] masked by bit [q] of
+      [packs.[packs_pos + j]]; spans CoW blocks like
+      {!xor_block_into_masked}. Each bucket is traced once per call, so
+      a batch visits every bucket once per 8-query pack. *)
 
   val set_tracing : t -> bool -> unit
   val access_trace : t -> int list

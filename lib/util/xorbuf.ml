@@ -52,169 +52,211 @@ let xor_into_masked ~mask ~src ~src_pos ~dst ~dst_pos ~len =
     Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
   done
 
-(* Fused-scan block kernel: XOR [count] consecutive [bucket]-byte records
-   of [src] into [dst], record [j] masked by the selection byte
-   [bits.[bits_pos + j]] (0 or 1). One bounds gate for the whole block,
-   then unchecked words; every record costs the same read-modify-write of
-   [dst] whether selected or not, preserving the constant-trace
-   discipline of [xor_into_masked] at block granularity. *)
-let xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst =
-  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.xor_buckets_masked: bad geometry";
-  check_bounds "xor_buckets_masked(bits)" bits_pos count (Bytes.length bits);
-  check_bounds "xor_buckets_masked(src)" src_pos (count * bucket) (Bytes.length src);
-  check_bounds "xor_buckets_masked(dst)" 0 bucket (Bytes.length dst);
-  let words = bucket / 8 in
-  let words4 = words land lnot 3 in
-  let tail = 8 * words in
-  for j = 0 to count - 1 do
-    let b = Char.code (Bytes.unsafe_get bits (bits_pos + j)) land 1 in
-    (* splat the selection bit to a full word: 0x00..00 or 0xff..ff *)
-    let m64 = Int64.neg (Int64.of_int b) in
-    let m = (0 - b) land 0xff in
-    let base = src_pos + (j * bucket) in
-    (* 4-way unrolled: buckets are word-multiples in practice, and the
-       loop-carried overhead is what separates this kernel from memory
-       bandwidth once the bounds checks are gone *)
-    let o = ref 0 in
-    while !o < 8 * words4 do
-      let o0 = !o in
-      let s0 = unsafe_get64 src (base + o0) and d0 = unsafe_get64 dst o0 in
-      let s1 = unsafe_get64 src (base + o0 + 8) and d1 = unsafe_get64 dst (o0 + 8) in
-      let s2 = unsafe_get64 src (base + o0 + 16) and d2 = unsafe_get64 dst (o0 + 16) in
-      let s3 = unsafe_get64 src (base + o0 + 24) and d3 = unsafe_get64 dst (o0 + 24) in
-      unsafe_set64 dst o0 (Int64.logxor (Int64.logand s0 m64) d0);
-      unsafe_set64 dst (o0 + 8) (Int64.logxor (Int64.logand s1 m64) d1);
-      unsafe_set64 dst (o0 + 16) (Int64.logxor (Int64.logand s2 m64) d2);
-      unsafe_set64 dst (o0 + 24) (Int64.logxor (Int64.logand s3 m64) d3);
-      o := o0 + 32
-    done;
-    for w = words4 to words - 1 do
-      let s = unsafe_get64 src (base + (8 * w)) in
-      let d = unsafe_get64 dst (8 * w) in
-      unsafe_set64 dst (8 * w) (Int64.logxor (Int64.logand s m64) d)
-    done;
-    for i = tail to bucket - 1 do
-      let s = Char.code (Bytes.unsafe_get src (base + i)) in
-      let d = Char.code (Bytes.unsafe_get dst i) in
-      Bytes.unsafe_set dst i (Char.unsafe_chr ((s land m) lxor d))
-    done
+(* The three scan kernels below share one shape. A selection byte's low
+   bit (or a pack byte's lane bit) is splatted arithmetically to a word
+   mask, 0x00..00 or 0xff..ff, never branched on. Buckets are taken a
+   block at a time: the block's source words are masked and folded in
+   registers, and each accumulator word is loaded and stored once per
+   block instead of once per bucket. Every source word is loaded and
+   every accumulator word rewritten whatever the bits, so a scan's memory
+   trace is independent of the selection. *)
+
+let[@inline] splat b = Int64.neg (Int64.of_int (b land 1))
+let[@inline] sel bits i = Char.code (Bytes.unsafe_get bits i)
+
+(* Word [o] of [dst] ^= [x]: an accumulator's one read-modify-write. *)
+let[@inline] xor_word dst o x = unsafe_set64 dst o (Int64.logxor (unsafe_get64 dst o) x)
+
+(* Buckets' words folded in registers under their masks:
+   [s0&m0 ^ s1&m1] and [s0&m0 ^ s1&m1 ^ s2&m2 ^ s3&m3]. *)
+let[@inline] fold2 s0 m0 s1 m1 = Int64.logxor (Int64.logand s0 m0) (Int64.logand s1 m1)
+let[@inline] fold4 s0 m0 s1 m1 s2 m2 s3 m3 = Int64.logxor (fold2 s0 m0 s1 m1) (fold2 s2 m2 s3 m3)
+
+(* The blocked word loops step 16 bytes (two words) per iteration, which
+   halves their loop overhead; the last [bucket mod 16] bytes of each
+   bucket go through [xor_tail] instead. *)
+let xor_tail ~b ~src ~pos ~bucket ~dst =
+  let m = (0 - (b land 1)) land 0xff in
+  for i = bucket land lnot 15 to bucket - 1 do
+    let s = Char.code (Bytes.unsafe_get src (pos + i)) in
+    let d = Char.code (Bytes.unsafe_get dst i) in
+    Bytes.unsafe_set dst i (Char.unsafe_chr ((s land m) lxor d))
   done
 
-(* Width-2 fused-scan block kernel: the two-probe keyword shape. One
-   streamed pass over [count] records feeds BOTH accumulators — each
-   source word is loaded once and masked-XORed into [dst0] and [dst1],
-   so the pair pays one memory traversal plus a second register-masked
-   accumulation instead of two scans (or the per-lane indexing of the
-   generic packed kernel). Both lanes do identical memory work whatever
-   their bits. *)
+(* One whole bucket under selection bit [b]: the step for the buckets
+   left over after a kernel's blocked passes. *)
+let xor_bucket ~b ~src ~pos ~bucket ~dst =
+  let m = splat b in
+  for w = 0 to (2 * (bucket / 16)) - 1 do
+    let o = 8 * w in
+    xor_word dst o (Int64.logand (unsafe_get64 src (pos + o)) m)
+  done;
+  xor_tail ~b ~src ~pos ~bucket ~dst
+
+let check_geometry name ~count ~src_pos ~bucket ~src =
+  if bucket <= 0 || count < 0 || count > max_int / bucket then
+    invalid_arg (Printf.sprintf "Xorbuf.%s: bad geometry" name);
+  check_bounds (name ^ "(src)") src_pos (count * bucket) (Bytes.length src)
+
+(* Width 1: four buckets per pass, [x = s0&m0 ^ s1&m1 ^ s2&m2 ^ s3&m3]
+   folded in registers, then one read-modify-write of [dst]. The bucket
+   offsets are hoisted out of the word loop. *)
+let xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst =
+  check_geometry "xor_buckets_masked" ~count ~src_pos ~bucket ~src;
+  check_bounds "xor_buckets_masked(bits)" bits_pos count (Bytes.length bits);
+  check_bounds "xor_buckets_masked(dst)" 0 bucket (Bytes.length dst);
+  let quads = count / 4 in
+  for q = 0 to quads - 1 do
+    let j = bits_pos + (4 * q) in
+    let b0 = sel bits j and b1 = sel bits (j + 1) in
+    let b2 = sel bits (j + 2) and b3 = sel bits (j + 3) in
+    let m0 = splat b0 and m1 = splat b1 and m2 = splat b2 and m3 = splat b3 in
+    let p0 = src_pos + (4 * q * bucket) in
+    let p1 = p0 + bucket in
+    let p2 = p1 + bucket in
+    let p3 = p2 + bucket in
+    for w = 0 to (bucket / 16) - 1 do
+      let o = 16 * w in
+      let x01 =
+        Int64.logxor
+          (Int64.logand (unsafe_get64 src (p0 + o)) m0)
+          (Int64.logand (unsafe_get64 src (p1 + o)) m1)
+      in
+      let x23 =
+        Int64.logxor
+          (Int64.logand (unsafe_get64 src (p2 + o)) m2)
+          (Int64.logand (unsafe_get64 src (p3 + o)) m3)
+      in
+      xor_word dst o (Int64.logxor x01 x23);
+      let x01 =
+        Int64.logxor
+          (Int64.logand (unsafe_get64 src (p0 + o + 8)) m0)
+          (Int64.logand (unsafe_get64 src (p1 + o + 8)) m1)
+      in
+      let x23 =
+        Int64.logxor
+          (Int64.logand (unsafe_get64 src (p2 + o + 8)) m2)
+          (Int64.logand (unsafe_get64 src (p3 + o + 8)) m3)
+      in
+      xor_word dst (o + 8) (Int64.logxor x01 x23)
+    done;
+    if bucket land 15 <> 0 then begin
+      xor_tail ~b:b0 ~src ~pos:p0 ~bucket ~dst;
+      xor_tail ~b:b1 ~src ~pos:p1 ~bucket ~dst;
+      xor_tail ~b:b2 ~src ~pos:p2 ~bucket ~dst;
+      xor_tail ~b:b3 ~src ~pos:p3 ~bucket ~dst
+    end
+  done;
+  for j = 4 * quads to count - 1 do
+    xor_bucket ~b:(sel bits (bits_pos + j)) ~src ~pos:(src_pos + (j * bucket)) ~bucket ~dst
+  done
+
+(* Width 2, the two-probe keyword shape: the same four-bucket passes,
+   both lanes folding the same four source loads. *)
 let xor_buckets_masked2 ~bits0 ~bits0_pos ~bits1 ~bits1_pos ~count ~src ~src_pos ~bucket ~dst0
     ~dst1 =
-  if bucket <= 0 || count < 0 then invalid_arg "Xorbuf.xor_buckets_masked2: bad geometry";
+  check_geometry "xor_buckets_masked2" ~count ~src_pos ~bucket ~src;
   check_bounds "xor_buckets_masked2(bits0)" bits0_pos count (Bytes.length bits0);
   check_bounds "xor_buckets_masked2(bits1)" bits1_pos count (Bytes.length bits1);
-  check_bounds "xor_buckets_masked2(src)" src_pos (count * bucket) (Bytes.length src);
   check_bounds "xor_buckets_masked2(dst0)" 0 bucket (Bytes.length dst0);
   check_bounds "xor_buckets_masked2(dst1)" 0 bucket (Bytes.length dst1);
-  let words = bucket / 8 in
-  let words4 = words land lnot 3 in
-  let tail = 8 * words in
-  for j = 0 to count - 1 do
-    let b0 = Char.code (Bytes.unsafe_get bits0 (bits0_pos + j)) land 1 in
-    let b1 = Char.code (Bytes.unsafe_get bits1 (bits1_pos + j)) land 1 in
-    let ma = Int64.neg (Int64.of_int b0) and mb = Int64.neg (Int64.of_int b1) in
-    let m0 = (0 - b0) land 0xff and m1 = (0 - b1) land 0xff in
-    let base = src_pos + (j * bucket) in
-    (* 4-way unrolled: four source loads feed eight masked accumulations
-       per iteration without spilling the two masks *)
-    let o = ref 0 in
-    while !o < 8 * words4 do
-      let o0 = !o in
-      let s0 = unsafe_get64 src (base + o0) in
-      let s1 = unsafe_get64 src (base + o0 + 8) in
-      let s2 = unsafe_get64 src (base + o0 + 16) in
-      let s3 = unsafe_get64 src (base + o0 + 24) in
-      unsafe_set64 dst0 o0 (Int64.logxor (Int64.logand s0 ma) (unsafe_get64 dst0 o0));
-      unsafe_set64 dst0 (o0 + 8) (Int64.logxor (Int64.logand s1 ma) (unsafe_get64 dst0 (o0 + 8)));
-      unsafe_set64 dst0 (o0 + 16) (Int64.logxor (Int64.logand s2 ma) (unsafe_get64 dst0 (o0 + 16)));
-      unsafe_set64 dst0 (o0 + 24) (Int64.logxor (Int64.logand s3 ma) (unsafe_get64 dst0 (o0 + 24)));
-      unsafe_set64 dst1 o0 (Int64.logxor (Int64.logand s0 mb) (unsafe_get64 dst1 o0));
-      unsafe_set64 dst1 (o0 + 8) (Int64.logxor (Int64.logand s1 mb) (unsafe_get64 dst1 (o0 + 8)));
-      unsafe_set64 dst1 (o0 + 16) (Int64.logxor (Int64.logand s2 mb) (unsafe_get64 dst1 (o0 + 16)));
-      unsafe_set64 dst1 (o0 + 24) (Int64.logxor (Int64.logand s3 mb) (unsafe_get64 dst1 (o0 + 24)));
-      o := o0 + 32
+  let quads = count / 4 in
+  for q = 0 to quads - 1 do
+    let j0 = bits0_pos + (4 * q) and j1 = bits1_pos + (4 * q) in
+    let a0 = splat (sel bits0 j0) and a1 = splat (sel bits0 (j0 + 1)) in
+    let a2 = splat (sel bits0 (j0 + 2)) and a3 = splat (sel bits0 (j0 + 3)) in
+    let c0 = splat (sel bits1 j1) and c1 = splat (sel bits1 (j1 + 1)) in
+    let c2 = splat (sel bits1 (j1 + 2)) and c3 = splat (sel bits1 (j1 + 3)) in
+    let p0 = src_pos + (4 * q * bucket) in
+    let p1 = p0 + bucket in
+    let p2 = p1 + bucket in
+    let p3 = p2 + bucket in
+    for w = 0 to (bucket / 16) - 1 do
+      let o = 16 * w in
+      let s0 = unsafe_get64 src (p0 + o) and s1 = unsafe_get64 src (p1 + o) in
+      let s2 = unsafe_get64 src (p2 + o) and s3 = unsafe_get64 src (p3 + o) in
+      xor_word dst0 o (fold4 s0 a0 s1 a1 s2 a2 s3 a3);
+      xor_word dst1 o (fold4 s0 c0 s1 c1 s2 c2 s3 c3);
+      let o = o + 8 in
+      let s0 = unsafe_get64 src (p0 + o) and s1 = unsafe_get64 src (p1 + o) in
+      let s2 = unsafe_get64 src (p2 + o) and s3 = unsafe_get64 src (p3 + o) in
+      xor_word dst0 o (fold4 s0 a0 s1 a1 s2 a2 s3 a3);
+      xor_word dst1 o (fold4 s0 c0 s1 c1 s2 c2 s3 c3)
     done;
-    for w = words4 to words - 1 do
-      let s = unsafe_get64 src (base + (8 * w)) in
-      unsafe_set64 dst0 (8 * w) (Int64.logxor (Int64.logand s ma) (unsafe_get64 dst0 (8 * w)));
-      unsafe_set64 dst1 (8 * w) (Int64.logxor (Int64.logand s mb) (unsafe_get64 dst1 (8 * w)))
-    done;
-    for i = tail to bucket - 1 do
-      let s = Char.code (Bytes.unsafe_get src (base + i)) in
-      let d0 = Char.code (Bytes.unsafe_get dst0 i) in
-      Bytes.unsafe_set dst0 i (Char.unsafe_chr ((s land m0) lxor d0));
-      let d1 = Char.code (Bytes.unsafe_get dst1 i) in
-      Bytes.unsafe_set dst1 i (Char.unsafe_chr ((s land m1) lxor d1))
-    done
+    if bucket land 15 <> 0 then
+      for k = 0 to 3 do
+        let pos = p0 + (k * bucket) in
+        xor_tail ~b:(sel bits0 (j0 + k)) ~src ~pos ~bucket ~dst:dst0;
+        xor_tail ~b:(sel bits1 (j1 + k)) ~src ~pos ~bucket ~dst:dst1
+      done
+  done;
+  for j = 4 * quads to count - 1 do
+    let pos = src_pos + (j * bucket) in
+    xor_bucket ~b:(sel bits0 (bits0_pos + j)) ~src ~pos ~bucket ~dst:dst0;
+    xor_bucket ~b:(sel bits1 (bits1_pos + j)) ~src ~pos ~bucket ~dst:dst1
   done
 
-(* Bit-packed batch kernel: one streamed pass over the source feeds up to
-   8 accumulators. [pack] carries lane q's selection bit at bit q; each
-   source word is loaded once and XORed into every lane under that lane's
-   splatted mask, so a batch of 8 queries costs one traversal of the data
-   plus 8 register-masked accumulations instead of 8 separate scans. All
-   lanes perform identical memory work regardless of their bits. *)
-let xor_into_packed ~pack ~src ~src_pos ~dsts ~dst_pos ~len =
-  let lanes = Array.length dsts in
-  if lanes < 1 || lanes > 8 then invalid_arg "Xorbuf.xor_into_packed: need 1..8 lanes";
-  check_bounds "xor_into_packed(src)" src_pos len (Bytes.length src);
-  Array.iter
-    (fun dst -> check_bounds "xor_into_packed(dst)" dst_pos len (Bytes.length dst))
-    dsts;
-  let pack = pack land 0xff in
-  let words = len / 8 in
-  let tail = 8 * words in
-  if lanes = 8 then begin
-    (* the full-pack fast path: lanes and masks pinned in locals, the
-       inner loop is straight-line with no per-lane indexing *)
-    let d0 = Array.unsafe_get dsts 0 and d1 = Array.unsafe_get dsts 1 in
-    let d2 = Array.unsafe_get dsts 2 and d3 = Array.unsafe_get dsts 3 in
-    let d4 = Array.unsafe_get dsts 4 and d5 = Array.unsafe_get dsts 5 in
-    let d6 = Array.unsafe_get dsts 6 and d7 = Array.unsafe_get dsts 7 in
-    let m q = Int64.neg (Int64.of_int ((pack lsr q) land 1)) in
-    let m0 = m 0 and m1 = m 1 and m2 = m 2 and m3 = m 3 in
-    let m4 = m 4 and m5 = m 5 and m6 = m 6 and m7 = m 7 in
-    for w = 0 to words - 1 do
-      let o = dst_pos + (8 * w) in
-      let s = unsafe_get64 src (src_pos + (8 * w)) in
-      unsafe_set64 d0 o (Int64.logxor (Int64.logand s m0) (unsafe_get64 d0 o));
-      unsafe_set64 d1 o (Int64.logxor (Int64.logand s m1) (unsafe_get64 d1 o));
-      unsafe_set64 d2 o (Int64.logxor (Int64.logand s m2) (unsafe_get64 d2 o));
-      unsafe_set64 d3 o (Int64.logxor (Int64.logand s m3) (unsafe_get64 d3 o));
-      unsafe_set64 d4 o (Int64.logxor (Int64.logand s m4) (unsafe_get64 d4 o));
-      unsafe_set64 d5 o (Int64.logxor (Int64.logand s m5) (unsafe_get64 d5 o));
-      unsafe_set64 d6 o (Int64.logxor (Int64.logand s m6) (unsafe_get64 d6 o));
-      unsafe_set64 d7 o (Int64.logxor (Int64.logand s m7) (unsafe_get64 d7 o))
+(* The batch kernel: exactly 8 lanes, two buckets per pass. Lane [q]
+   folds [s0&a_q ^ s1&c_q] from the pass's two source loads into its
+   accumulator, [a_q] and [c_q] splatted from bit [q] of the two buckets'
+   pack bytes. A batch narrower than 8 pads its spare lanes with a
+   scratch accumulator whose pack bits are zero, so every width runs this
+   one straight-line loop. *)
+let xor_buckets_packed ~packs ~packs_pos ~count ~src ~src_pos ~bucket ~dsts =
+  check_geometry "xor_buckets_packed" ~count ~src_pos ~bucket ~src;
+  check_bounds "xor_buckets_packed(packs)" packs_pos count (Bytes.length packs);
+  if Array.length dsts <> 8 then invalid_arg "Xorbuf.xor_buckets_packed: need 8 lanes";
+  Array.iter (fun d -> check_bounds "xor_buckets_packed(dst)" 0 bucket (Bytes.length d)) dsts;
+  let d0 = Array.unsafe_get dsts 0 and d1 = Array.unsafe_get dsts 1 in
+  let d2 = Array.unsafe_get dsts 2 and d3 = Array.unsafe_get dsts 3 in
+  let d4 = Array.unsafe_get dsts 4 and d5 = Array.unsafe_get dsts 5 in
+  let d6 = Array.unsafe_get dsts 6 and d7 = Array.unsafe_get dsts 7 in
+  let pairs = count / 2 in
+  for p = 0 to pairs - 1 do
+    let j = packs_pos + (2 * p) in
+    let k0 = sel packs j and k1 = sel packs (j + 1) in
+    let a0 = splat k0 and a1 = splat (k0 lsr 1) and a2 = splat (k0 lsr 2) in
+    let a3 = splat (k0 lsr 3) and a4 = splat (k0 lsr 4) and a5 = splat (k0 lsr 5) in
+    let a6 = splat (k0 lsr 6) and a7 = splat (k0 lsr 7) in
+    let c0 = splat k1 and c1 = splat (k1 lsr 1) and c2 = splat (k1 lsr 2) in
+    let c3 = splat (k1 lsr 3) and c4 = splat (k1 lsr 4) and c5 = splat (k1 lsr 5) in
+    let c6 = splat (k1 lsr 6) and c7 = splat (k1 lsr 7) in
+    let p0 = src_pos + (2 * p * bucket) in
+    let p1 = p0 + bucket in
+    for w = 0 to (bucket / 16) - 1 do
+      let o = 16 * w in
+      let s0 = unsafe_get64 src (p0 + o) and s1 = unsafe_get64 src (p1 + o) in
+      let t0 = unsafe_get64 src (p0 + o + 8) and t1 = unsafe_get64 src (p1 + o + 8) in
+      xor_word d0 o (fold2 s0 a0 s1 c0);
+      xor_word d0 (o + 8) (fold2 t0 a0 t1 c0);
+      xor_word d1 o (fold2 s0 a1 s1 c1);
+      xor_word d1 (o + 8) (fold2 t0 a1 t1 c1);
+      xor_word d2 o (fold2 s0 a2 s1 c2);
+      xor_word d2 (o + 8) (fold2 t0 a2 t1 c2);
+      xor_word d3 o (fold2 s0 a3 s1 c3);
+      xor_word d3 (o + 8) (fold2 t0 a3 t1 c3);
+      xor_word d4 o (fold2 s0 a4 s1 c4);
+      xor_word d4 (o + 8) (fold2 t0 a4 t1 c4);
+      xor_word d5 o (fold2 s0 a5 s1 c5);
+      xor_word d5 (o + 8) (fold2 t0 a5 t1 c5);
+      xor_word d6 o (fold2 s0 a6 s1 c6);
+      xor_word d6 (o + 8) (fold2 t0 a6 t1 c6);
+      xor_word d7 o (fold2 s0 a7 s1 c7);
+      xor_word d7 (o + 8) (fold2 t0 a7 t1 c7)
+    done;
+    if bucket land 15 <> 0 then
+      for q = 0 to 7 do
+        let dst = Array.unsafe_get dsts q in
+        xor_tail ~b:(k0 lsr q) ~src ~pos:p0 ~bucket ~dst;
+        xor_tail ~b:(k1 lsr q) ~src ~pos:p1 ~bucket ~dst
+      done
+  done;
+  if count land 1 = 1 then begin
+    let k = sel packs (packs_pos + count - 1) and pos = src_pos + ((count - 1) * bucket) in
+    for q = 0 to 7 do
+      xor_bucket ~b:(k lsr q) ~src ~pos ~bucket ~dst:(Array.unsafe_get dsts q)
     done
   end
-  else
-    for w = 0 to words - 1 do
-      let o = dst_pos + (8 * w) in
-      let s = unsafe_get64 src (src_pos + (8 * w)) in
-      for q = 0 to lanes - 1 do
-        let m64 = Int64.neg (Int64.of_int ((pack lsr q) land 1)) in
-        let dst = Array.unsafe_get dsts q in
-        unsafe_set64 dst o (Int64.logxor (Int64.logand s m64) (unsafe_get64 dst o))
-      done
-    done;
-  for i = tail to len - 1 do
-    let s = Char.code (Bytes.unsafe_get src (src_pos + i)) in
-    for q = 0 to lanes - 1 do
-      let mask = (0 - ((pack lsr q) land 1)) land 0xff in
-      let dst = Array.unsafe_get dsts q in
-      let d = Char.code (Bytes.unsafe_get dst (dst_pos + i)) in
-      Bytes.unsafe_set dst (dst_pos + i) (Char.unsafe_chr ((s land mask) lxor d))
-    done
-  done
 
 let xor_string_into ~src ~src_pos ~dst ~dst_pos ~len =
   xor_into ~src:(Bytes.unsafe_of_string src) ~src_pos ~dst ~dst_pos ~len

@@ -3,9 +3,20 @@
     The PIR data scan is dominated by XOR-accumulating fixed-size buckets
     into a response buffer, so these loops work 64 bits at a time. All
     functions validate their ranges once up front and then run unchecked
-    word loops; [xor_into_masked] deliberately keeps the checked accessors
-    of the seed implementation — it is the reference kernel the fused and
-    packed scan paths are benchmarked (E19) and property-tested against. *)
+    word loops.
+
+    The three scan kernels ({!xor_buckets_masked}, {!xor_buckets_masked2},
+    {!xor_buckets_packed}) are register-blocked: they fold a block of
+    buckets (four, four and two) into each accumulator word in registers,
+    so an accumulator word is read and written once per block rather than
+    once per bucket. Selection bits become all-zero or all-one word masks
+    arithmetically; every source word is loaded and every accumulator
+    word rewritten whatever the bits, so a scan's memory trace does not
+    depend on the selection.
+
+    [xor_into_masked] deliberately keeps the checked accessors of the
+    seed implementation: it is the reference kernel the scan kernels are
+    benchmarked (E19) and property-tested against. *)
 
 val xor_into : src:Bytes.t -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 (** [xor_into ~src ~src_pos ~dst ~dst_pos ~len] XORs [len] bytes of [src]
@@ -30,11 +41,13 @@ val xor_buckets_masked :
   dst:Bytes.t ->
   unit
 (** [xor_buckets_masked ~bits ~bits_pos ~count ~src ~src_pos ~bucket ~dst]
-    is the fused-scan block kernel: for each [j < count], XOR the
+    is the width-1 scan kernel: for each [j < count], XOR the
     [bucket]-byte record at [src_pos + j*bucket] into [dst] under the mask
-    splatted from selection byte [bits.[bits_pos + j]] (low bit used). One
-    bounds gate covers the whole block; every record performs the identical
-    read-modify-write of [dst] whether its bit is set or not. *)
+    splatted from the low bit of selection byte [bits.[bits_pos + j]].
+    Records are folded four per pass, so each word of [dst] is read and
+    written once per four records. One bounds gate covers the whole
+    block. Raises [Invalid_argument] on a non-positive [bucket], a
+    negative [count] or any out-of-bounds range. *)
 
 val xor_buckets_masked2 :
   bits0:Bytes.t ->
@@ -48,22 +61,29 @@ val xor_buckets_masked2 :
   dst0:Bytes.t ->
   dst1:Bytes.t ->
   unit
-(** Width-2 variant of {!xor_buckets_masked} — the two-probe keyword
-    shape: one streamed pass over the block feeds both accumulators,
-    record [j] masked into [dst0] by [bits0.[bits0_pos + j]] and into
-    [dst1] by [bits1.[bits1_pos + j]]. Each source word is loaded once;
-    both lanes perform identical memory work whatever their bits. *)
+(** Width-2 variant of {!xor_buckets_masked}, the two-probe keyword
+    shape: record [j] is masked into [dst0] by the low bit of
+    [bits0.[bits0_pos + j]] and into [dst1] by that of
+    [bits1.[bits1_pos + j]]. Four records per pass; both lanes fold the
+    same source loads. *)
 
-val xor_into_packed :
-  pack:int -> src:Bytes.t -> src_pos:int -> dsts:Bytes.t array -> dst_pos:int -> len:int -> unit
-(** [xor_into_packed ~pack ~src ~src_pos ~dsts ~dst_pos ~len] is the
-    bit-packed batch kernel: each source word is loaded once and XORed into
-    every accumulator in [dsts] under that lane's mask, lane [q]'s
-    selection bit taken from bit [q] of [pack]. [dsts] must hold 1–8
-    buffers (a partial final pack uses fewer than 8); all lanes do
-    identical memory work regardless of their bits. Raises
-    [Invalid_argument] on an empty or oversized [dsts] or any
-    out-of-bounds range. *)
+val xor_buckets_packed :
+  packs:Bytes.t ->
+  packs_pos:int ->
+  count:int ->
+  src:Bytes.t ->
+  src_pos:int ->
+  bucket:int ->
+  dsts:Bytes.t array ->
+  unit
+(** [xor_buckets_packed ~packs ~packs_pos ~count ~src ~src_pos ~bucket
+    ~dsts] is the batch kernel: record [j] is XORed into lane [q]'s
+    accumulator [dsts.(q)] under the mask splatted from bit [q] of pack
+    byte [packs.[packs_pos + j]]. [dsts] holds exactly 8 buffers; a batch
+    of fewer queries pads its spare lanes with a scratch buffer whose
+    pack bits are zero. Records are folded two per pass. Raises
+    [Invalid_argument] unless [dsts] has 8 lanes, and on any bad geometry
+    or out-of-bounds range. *)
 
 val xor_string_into : src:string -> src_pos:int -> dst:Bytes.t -> dst_pos:int -> len:int -> unit
 (** Same as {!xor_into} with an immutable source. *)

@@ -734,6 +734,11 @@ let test_trace_batch_scan () =
   check_ok "batch full pack"
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:[ [ 0; 1; 2; 3; 60; 61; 62; 63 ]; [ 7; 9; 11; 13; 17; 19; 23; 29 ] ] ());
+  (* width 3: one pack whose five spare lanes are padded with a zero-bit
+     scratch accumulator *)
+  check_ok "batch padded pack"
+    (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
+       ~batches:[ [ 0; 31; 63 ]; [ 5; 6; 40 ] ] ());
   check_ok "batch two packs"
     (Trace_check.check_batch_scan ~domain_bits:6 ~bucket_size:48
        ~batches:

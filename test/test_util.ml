@@ -83,60 +83,90 @@ let naive_masked ~mask ~src ~dst =
     (fun i d -> Char.chr (Char.code d lxor (Char.code (Bytes.get src i) land mask)))
     dst
 
+(* Byte-wise reference for the block kernels: record [j] of [src] (from
+   [src_pos]) XORed into a copy of [dst] under the byte mask splatted
+   from [bit j] (0 or 1). *)
+let naive_block ~bit ~count ~src ~src_pos ~bucket ~dst =
+  let acc = ref (Bytes.copy dst) in
+  for j = 0 to count - 1 do
+    let b = Bytes.sub src (src_pos + (j * bucket)) bucket in
+    acc := naive_masked ~mask:(-bit j land 0xff) ~src:b ~dst:!acc
+  done;
+  !acc
+
+(* Lanes as [Server.packed] lays out a pack: [live] accumulators, then
+   one shared scratch buffer in every spare lane. *)
+let padded_lanes ~live accs scratch =
+  Array.init 8 (fun q -> if q < live then accs.(q) else scratch)
+
 let test_xor_buckets_masked () =
   let rng = Lw_util.Det_rng.of_string_seed "buckets-masked" in
   List.iter
     (fun (count, bucket) ->
       let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (count * bucket)) in
-      let bits =
-        Bytes.init count (fun _ -> Char.chr (Lw_util.Det_rng.int rng 2))
+      let bits0 = Bytes.init count (fun _ -> Char.chr (Lw_util.Det_rng.int rng 2)) in
+      let bits1 = Bytes.init count (fun _ -> Char.chr (Lw_util.Det_rng.int rng 2)) in
+      let dst0 = Bytes.of_string (Lw_util.Det_rng.bytes rng bucket) in
+      let dst1 = Bytes.of_string (Lw_util.Det_rng.bytes rng bucket) in
+      let expected bits dst =
+        naive_block ~bit:(fun j -> Char.code (Bytes.get bits j)) ~count ~src ~src_pos:0 ~bucket
+          ~dst
       in
-      let dst = Bytes.of_string (Lw_util.Det_rng.bytes rng bucket) in
-      let expected = ref (Bytes.copy dst) in
-      for j = 0 to count - 1 do
-        let mask = -Char.code (Bytes.get bits j) land 0xff in
-        let b = Bytes.sub src (j * bucket) bucket in
-        expected := naive_masked ~mask ~src:b ~dst:!expected
-      done;
-      Lw_util.Xorbuf.xor_buckets_masked ~bits ~bits_pos:0 ~count ~src ~src_pos:0 ~bucket
+      let want0 = expected bits0 dst0 and want1 = expected bits1 dst1 in
+      let dst = Bytes.copy dst0 in
+      Lw_util.Xorbuf.xor_buckets_masked ~bits:bits0 ~bits_pos:0 ~count ~src ~src_pos:0 ~bucket
         ~dst;
-      Alcotest.(check string)
-        (Printf.sprintf "count=%d bucket=%d" count bucket)
-        (Bytes.to_string !expected) (Bytes.to_string dst))
+      let case = Printf.sprintf "count=%d bucket=%d" count bucket in
+      Alcotest.(check string) case (Bytes.to_string want0) (Bytes.to_string dst);
+      Lw_util.Xorbuf.xor_buckets_masked2 ~bits0 ~bits0_pos:0 ~bits1 ~bits1_pos:0 ~count ~src
+        ~src_pos:0 ~bucket ~dst0 ~dst1;
+      Alcotest.(check string) (case ^ " lane 0") (Bytes.to_string want0) (Bytes.to_string dst0);
+      Alcotest.(check string) (case ^ " lane 1") (Bytes.to_string want1) (Bytes.to_string dst1))
     [ (1, 1); (3, 7); (4, 8); (5, 32); (2, 33); (7, 40); (1, 100) ];
   Alcotest.check_raises "src range"
     (Invalid_argument "Xorbuf.xor_buckets_masked(src): range out of bounds") (fun () ->
       Lw_util.Xorbuf.xor_buckets_masked ~bits:(Bytes.make 4 '\x00') ~bits_pos:0 ~count:4
         ~src:(Bytes.make 16 '\x00') ~src_pos:0 ~bucket:8 ~dst:(Bytes.make 8 '\x00'))
 
-let test_xor_into_packed () =
+(* [lanes] live lanes padded to 8, [len]-byte buckets, three buckets per
+   call (one two-bucket pass plus the odd one out) *)
+let test_xor_buckets_packed () =
   let rng = Lw_util.Det_rng.of_string_seed "packed" in
+  let count = 3 in
   List.iter
     (fun (lanes, len) ->
-      let src = Bytes.of_string (Lw_util.Det_rng.bytes rng len) in
-      let pack = Lw_util.Det_rng.int rng 256 in
-      let dsts =
-        Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng len))
+      let src = Bytes.of_string (Lw_util.Det_rng.bytes rng (count * len)) in
+      let packs =
+        Bytes.init count (fun _ -> Char.chr (Lw_util.Det_rng.int rng 256 land ((1 lsl lanes) - 1)))
       in
+      let accs = Array.init lanes (fun _ -> Bytes.of_string (Lw_util.Det_rng.bytes rng len)) in
       let expected =
         Array.mapi
           (fun q dst ->
-            naive_masked ~mask:(-((pack lsr q) land 1) land 0xff) ~src ~dst)
-          dsts
+            naive_block
+              ~bit:(fun j -> (Char.code (Bytes.get packs j) lsr q) land 1)
+              ~count ~src ~src_pos:0 ~bucket:len ~dst)
+          accs
       in
-      Lw_util.Xorbuf.xor_into_packed ~pack ~src ~src_pos:0 ~dsts ~dst_pos:0 ~len;
+      let scratch = Bytes.make len '\x00' in
+      Lw_util.Xorbuf.xor_buckets_packed ~packs ~packs_pos:0 ~count ~src ~src_pos:0 ~bucket:len
+        ~dsts:(padded_lanes ~live:lanes accs scratch);
       Array.iteri
         (fun q dst ->
           Alcotest.(check string)
             (Printf.sprintf "lanes=%d len=%d lane=%d" lanes len q)
             (Bytes.to_string expected.(q))
             (Bytes.to_string dst))
-        dsts)
+        accs;
+      Alcotest.(check bool)
+        (Printf.sprintf "lanes=%d len=%d scratch untouched" lanes len)
+        true
+        (Lw_util.Xorbuf.is_zero_range scratch ~pos:0 ~len))
     [ (1, 5); (2, 16); (3, 17); (8, 8); (8, 64); (8, 67); (5, 33); (8, 1) ];
   Alcotest.check_raises "lane count"
-    (Invalid_argument "Xorbuf.xor_into_packed: need 1..8 lanes") (fun () ->
-      Lw_util.Xorbuf.xor_into_packed ~pack:0 ~src:(Bytes.make 8 '\x00') ~src_pos:0
-        ~dsts:[||] ~dst_pos:0 ~len:8)
+    (Invalid_argument "Xorbuf.xor_buckets_packed: need 8 lanes") (fun () ->
+      Lw_util.Xorbuf.xor_buckets_packed ~packs:(Bytes.make 1 '\x00') ~packs_pos:0 ~count:1
+        ~src:(Bytes.make 8 '\x00') ~src_pos:0 ~bucket:8 ~dsts:[||])
 
 let test_bitops () =
   Alcotest.(check int32) "rotl32" 0x00000001l (Lw_util.Bitops.rotl32 0x80000000l 1);
@@ -303,7 +333,110 @@ let prop_crc32_matches_bytewise =
         (crc32_bytewise init s ~pos ~len)
       && Int32.equal (Lw_util.Crc32.digest s) (crc32_bytewise 0l s ~pos:0 ~len:n))
 
-let props = List.map QCheck_alcotest.to_alcotest [ prop_rng_int_uniformish; prop_xor_associative; prop_crc32_matches_bytewise ]
+(* The three block kernels against the byte-wise reference: every
+   [count mod 4] and [count mod 2] remainder, word tails, nonzero
+   offsets, selection bytes whose other bits are random (only the low
+   bit, or the lane's bit, may count) and packs of 1..8 live lanes whose
+   padded lanes share a scratch accumulator that must stay zero. *)
+type block_case = {
+  count : int;
+  bucket : int;
+  bits_pos : int;
+  src_pos : int;
+  live : int;
+  src : Bytes.t;
+  sel0 : Bytes.t;
+  sel1 : Bytes.t;
+  dsts : Bytes.t array;
+}
+
+let arb_block_case =
+  QCheck.(
+    quad (int_range 0 37) (int_range 1 80)
+      (pair (int_range 1 17) (int_range 1 17))
+      (pair (int_range 1 8) small_nat))
+
+let block_case (count, bucket, (bits_pos, src_pos), (live, seed)) =
+  let rng =
+    Lw_util.Det_rng.of_string_seed
+      (Printf.sprintf "block %d %d %d %d %d %d" count bucket bits_pos src_pos live seed)
+  in
+  let bytes n = Bytes.of_string (Lw_util.Det_rng.bytes rng n) in
+  {
+    count;
+    bucket;
+    bits_pos;
+    src_pos;
+    live;
+    src = bytes (src_pos + (count * bucket));
+    sel0 = bytes (bits_pos + count);
+    sel1 = bytes (bits_pos + count);
+    dsts = Array.init 8 (fun _ -> bytes bucket);
+  }
+
+let sel_bit sel ~pos ~lane j = (Char.code (Bytes.get sel (pos + j)) lsr lane) land 1
+
+let prop_masked_kernel =
+  QCheck.Test.make ~name:"block kernel width 1 = reference" ~count:300 arb_block_case
+    (fun c ->
+      let c = block_case c in
+      let dst = c.dsts.(0) in
+      let want =
+        naive_block ~bit:(sel_bit c.sel0 ~pos:c.bits_pos ~lane:0) ~count:c.count ~src:c.src
+          ~src_pos:c.src_pos ~bucket:c.bucket ~dst
+      in
+      Lw_util.Xorbuf.xor_buckets_masked ~bits:c.sel0 ~bits_pos:c.bits_pos ~count:c.count
+        ~src:c.src ~src_pos:c.src_pos ~bucket:c.bucket ~dst;
+      Bytes.equal want dst)
+
+let prop_masked2_kernel =
+  QCheck.Test.make ~name:"block kernel width 2 = reference" ~count:300 arb_block_case
+    (fun c ->
+      let c = block_case c in
+      (* lane 1's selection bytes start one byte later than lane 0's *)
+      let dst0 = c.dsts.(0) and dst1 = c.dsts.(1) in
+      let want sel pos dst =
+        naive_block ~bit:(sel_bit sel ~pos ~lane:0) ~count:c.count ~src:c.src ~src_pos:c.src_pos
+          ~bucket:c.bucket ~dst
+      in
+      let want0 = want c.sel0 c.bits_pos dst0 and want1 = want c.sel1 (c.bits_pos - 1) dst1 in
+      Lw_util.Xorbuf.xor_buckets_masked2 ~bits0:c.sel0 ~bits0_pos:c.bits_pos ~bits1:c.sel1
+        ~bits1_pos:(c.bits_pos - 1) ~count:c.count ~src:c.src ~src_pos:c.src_pos
+        ~bucket:c.bucket ~dst0 ~dst1;
+      Bytes.equal want0 dst0 && Bytes.equal want1 dst1)
+
+let prop_packed_kernel =
+  QCheck.Test.make ~name:"block kernel packed = reference" ~count:300 arb_block_case
+    (fun c ->
+      let c = block_case c in
+      (* pack bytes carry random bits in the live lanes only, as
+         [Server.packed] builds them *)
+      let live_mask = (1 lsl c.live) - 1 in
+      let packs = Bytes.map (fun b -> Char.chr (Char.code b land live_mask)) c.sel0 in
+      let accs = Array.sub c.dsts 0 c.live in
+      let want =
+        Array.mapi
+          (fun q dst ->
+            naive_block ~bit:(sel_bit packs ~pos:c.bits_pos ~lane:q) ~count:c.count ~src:c.src
+              ~src_pos:c.src_pos ~bucket:c.bucket ~dst)
+          accs
+      in
+      let scratch = Bytes.make c.bucket '\x00' in
+      Lw_util.Xorbuf.xor_buckets_packed ~packs ~packs_pos:c.bits_pos ~count:c.count ~src:c.src
+        ~src_pos:c.src_pos ~bucket:c.bucket ~dsts:(padded_lanes ~live:c.live accs scratch);
+      Array.for_all2 Bytes.equal want accs
+      && Lw_util.Xorbuf.is_zero_range scratch ~pos:0 ~len:c.bucket)
+
+let props =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      prop_rng_int_uniformish;
+      prop_xor_associative;
+      prop_crc32_matches_bytewise;
+      prop_masked_kernel;
+      prop_masked2_kernel;
+      prop_packed_kernel;
+    ]
 
 let () =
   Alcotest.run "lw_util"
@@ -321,7 +454,7 @@ let () =
           Alcotest.test_case "bounds overflow" `Quick test_xor_bounds_overflow;
           Alcotest.test_case "is_zero" `Quick test_is_zero;
           Alcotest.test_case "buckets masked" `Quick test_xor_buckets_masked;
-          Alcotest.test_case "packed lanes" `Quick test_xor_into_packed;
+          Alcotest.test_case "packed lanes" `Quick test_xor_buckets_packed;
         ] );
       ("bitops", [ Alcotest.test_case "all" `Quick test_bitops ]);
       ("crc32", [ Alcotest.test_case "vectors" `Quick test_crc32_vectors ]);
